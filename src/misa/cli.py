@@ -17,14 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import combinatorics as comb
 from . import gradcheck
 from . import harness
 from . import metrics
-from . import reduction
 from .io import load_matrix, save_matrix
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
-from .optimizer import random_row_orthonormal
 
 
 def _threads(args) -> int:
@@ -92,33 +89,8 @@ def _load_instance(path):
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     data, P, A, _ = _load_instance(args.data)
-    rng = np.random.default_rng(cfg.seed)
-
-    B = None
-    work = data
-    if cfg.reduce == "pre":
-        red = reduction.reduce_data(data, P.col_dims, options=cfg.optim,
-                                    seed=cfg.seed + 1,
-                                    precision_b=cfg.precision_b)
-        B, work = red.B_star, red.reduced
-    elif cfg.reduce == "gpca":
-        B = reduction.gpca_init(data, P.col_dims[0])
-        work = MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, data.blocks)])
-
-    W0 = BlockTransform([random_row_orthonormal(P.col_dims[m], Vm, rng)
-                         for m, Vm in enumerate(work.dims)])
-    if cfg.solver == "misa":
-        sol = comb.run_misa(work, P, W0, dispersion=cfg.dispersion, opts=cfg.optim)
-    elif work.n_datasets == 1:
-        sol = comb.misa_gp_sdm(work, P, W0, T=cfg.T, opts=cfg.optim)
-    else:
-        sol = comb.misa_gp_mdm(work, P, W0, T=cfg.T, opts=cfg.optim)
-
-    if B is not None:
-        W_total = BlockTransform([Wm @ Bm for Wm, Bm in
-                                  zip(sol.W_final.blocks, B.blocks)])
-    else:
-        W_total = sol.W_final
+    work, B = harness.reduce_instance(cfg, data, P, cfg.seed)
+    sol, W_total = harness.solve_instance(cfg, work, P, B, cfg.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,8 @@
 
 Holds the greedy source-to-subspace reassignment (gp), the single- and
 multi-dataset drivers that alternate it with numerical optimization, the
-cross-dataset subspace permutation search, subspace matching via a linear
-sum assignment, and an exact Hungarian solver.
+cross-dataset subspace permutation search, and subspace matching via a
+linear sum assignment.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ShapeError
 from .model import (
@@ -33,57 +34,14 @@ EXHAUSTIVE_PERM_LIMIT = 10_000
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment; perm[i] is the column given to row i.
 
-    Augmenting-path solver with potentials. Ties are resolved by scanning
-    columns in ascending order, so the result is deterministic and a constant
-    cost matrix yields the identity.
+    scipy's solver; a constant cost matrix yields the identity.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise DomainError("cost entries must be finite")
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)  # p[j]: row matched to column j, 1-based
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    perm = np.zeros(n, dtype=int)
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    return perm
+    return linear_sum_assignment(cost)[1]
 
 
 def _as_p_matrix(P) -> np.ndarray:
@@ -221,11 +179,6 @@ def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,
     return opt.minimize(fg, W0, opts)
 
 
-def _dataset_rows(P: SubspaceAssignment, k: int, m: int) -> np.ndarray:
-    # row indices of subspace k within W_m (= local source columns)
-    return P.dataset_sources(k, m)
-
-
 def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
                   W: BlockTransform, psi: Sequence[float] = PSI_LAPLACE,
                   mode: str = "auto") -> BlockTransform:
@@ -271,7 +224,7 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
         new = orders[m].copy()
         for i, k in enumerate(ks):
             src = ks[pi[i]]
-            new[_dataset_rows(P_ud, k, m)] = orders[m][_dataset_rows(P_ud, src, m)]
+            new[P_ud.dataset_sources(k, m)] = orders[m][P_ud.dataset_sources(src, m)]
         out = list(orders)
         out[m] = new
         return out

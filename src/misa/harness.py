@@ -203,27 +203,49 @@ def _mmse_applicable(P: SubspaceAssignment) -> bool:
     return bool(np.all(P.per_dataset_dims() <= 1))
 
 
+def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
+                    P: SubspaceAssignment, seed: int):
+    """Apply cfg.reduce; returns (work_data, B) with work_data_m = B_m X_m,
+    or (data, None) without reduction. PRE starts from seed + 1."""
+    if cfg.reduce == "pre":
+        red = reduction.reduce_data(data, P.col_dims, options=cfg.optim,
+                                    seed=seed + 1, precision_b=cfg.precision_b)
+        return red.reduced, red.B_star
+    if cfg.reduce == "gpca":
+        if len(set(P.col_dims)) != 1:
+            raise ConfigError("gpca reduction requires equal C_m across datasets")
+        B = reduction.gpca_init(data, P.col_dims[0])
+        return MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, data.blocks)]), B
+    return data, None
+
+
+def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
+                   P: SubspaceAssignment, B: Optional[BlockTransform],
+                   seed: int):
+    """Run cfg.solver from a random row-orthonormal W0 drawn from seed;
+    returns (sol, W_total) with W_total = W B mapping the unreduced data."""
+    rng = np.random.default_rng(seed)
+    W0 = BlockTransform([opt.random_row_orthonormal(P.col_dims[m], Vm, rng)
+                         for m, Vm in enumerate(work_data.dims)])
+    if cfg.solver == "misa":
+        sol = comb.run_misa(work_data, P, W0, dispersion=cfg.dispersion,
+                            opts=cfg.optim)
+    elif work_data.n_datasets == 1:
+        sol = comb.misa_gp_sdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
+    else:
+        sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
+    if B is None:
+        return sol, sol.W_final
+    return sol, BlockTransform([Wm @ Bm for Wm, Bm in zip(sol.W_final.blocks, B.blocks)])
+
+
 def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
                    data: MultiDataset, P: SubspaceAssignment, truth,
                    B: Optional[BlockTransform], i: int, r: int,
                    inst_seed: int, rep_seed: int) -> RunRecord:
-    rng = np.random.default_rng(rep_seed)
-    W0 = BlockTransform([opt.random_row_orthonormal(P.col_dims[m], Vm, rng)
-                         for m, Vm in enumerate(work_data.dims)])
     t0 = time.perf_counter()
     try:
-        if cfg.solver == "misa":
-            sol = comb.run_misa(work_data, P, W0, dispersion=cfg.dispersion,
-                                opts=cfg.optim)
-        elif work_data.n_datasets == 1:
-            sol = comb.misa_gp_sdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
-        else:
-            sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
-        if B is not None:
-            W_total = BlockTransform([Wm @ Bm for Wm, Bm in
-                                      zip(sol.W_final.blocks, B.blocks)])
-        else:
-            W_total = sol.W_final
+        sol, W_total = solve_instance(cfg, work_data, P, B, rep_seed)
         misi_val = metrics.misi(W_total, truth.A, P)
         if _mmse_applicable(P):
             Y_hat = W_total.transform(data)
@@ -254,21 +276,7 @@ def run_experiment(cfg: ExperimentConfig):
         sim = replace(cfg.sim, seed=inst_seed)
         data, truth, P = build_instance(sim)
 
-        B = None
-        work_data = data
-        if cfg.reduce == "pre":
-            red = reduction.reduce_data(data, P.col_dims, options=cfg.optim,
-                                        seed=inst_seed + 1,
-                                        precision_b=cfg.precision_b)
-            B = red.B_star
-            work_data = red.reduced
-        elif cfg.reduce == "gpca":
-            if len(set(P.col_dims)) != 1:
-                raise ConfigError("gpca reduction requires equal C_m across datasets")
-            Bt = reduction.gpca_init(data, P.col_dims[0])
-            B = Bt
-            work_data = MultiDataset([Bm @ Xm for Bm, Xm in
-                                      zip(Bt.blocks, data.blocks)])
+        work_data, B = reduce_instance(cfg, data, P, inst_seed)
 
         rep_seqs = inst_seqs[i].spawn(cfg.replicates)
         rep_seeds = [int(s.generate_state(1)[0]) for s in rep_seqs]

@@ -10,10 +10,11 @@ the solvers is also provided here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import DefinitenessError, RankError, ShapeError
 from .model import (
@@ -52,15 +53,13 @@ class ObjectiveContext:
     """Frozen problem definition: data, subspace structure, Kotz parameters.
 
     kotz holds one KotzParams per subspace; pass psi to build them all from a
-    single (beta, lambda, eta) triple. Per-dataset Gram factors X X^T are
-    cached at construction and shared read-only across threads.
+    single (beta, lambda, eta) triple.
     """
 
     data: MultiDataset
     assignment: SubspaceAssignment
     kotz: tuple
     dispersion: DispersionChoice
-    grams: tuple = field(default=())
 
     def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
                  dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
@@ -83,12 +82,6 @@ class ObjectiveContext:
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "kotz", kotz)
         object.__setattr__(self, "dispersion", dispersion)
-        object.__setattr__(self, "grams", tuple(X @ X.T for X in data.blocks))
-
-    def gram_rebuild_error(self) -> float:
-        """Max abs deviation of the cached Grams from a fresh rebuild."""
-        return max(float(np.max(np.abs(G - X @ X.T))) if G.size else 0.0
-                   for G, X in zip(self.grams, self.data.blocks))
 
     @property
     def f_constant(self) -> float:
@@ -103,63 +96,74 @@ class ObjectiveReport:
     gradient: Optional[BlockTransform] = None
 
 
+def _subspace_terms(Yk: np.ndarray, pk: KotzParams, N: int, invariant: bool,
+                    with_gradient: bool):
+    """(J_C, J_F, J_E, dJ/dY_k or None) of one subspace's sources Y_k.
+
+    The dispersion is D = Z / (c c^T) with Z = Y_k Y_k^T: c_i = sqrt((N-1)
+    alpha) when scale-invariant (D = alpha^-1 * sample covariance), c =
+    sqrt(diag Z) when scale-controlled (D = sample correlation). J_C is
+    ln det D and z_n = y_n^T D^-1 y_n. D is factored and inverted once; the
+    gradient is that of 0.5 J_C - J_F + J_E.
+    """
+    Z = Yk @ Yk.T
+    if invariant:
+        c = np.full(pk.d, np.sqrt((N - 1) * pk.alpha))
+    else:
+        c = np.sqrt(np.diag(Z))
+        if np.any(c <= 0):
+            raise DefinitenessError("zero-power source row")
+    cc = np.outer(c, c)
+    D = Z / cc
+    L = chol_pd(D, "dispersion")
+    Dinv = cho_solve((L, True), np.eye(pk.d), check_finite=False)
+    U = Dinv @ Yk
+    z = np.einsum("in,in->n", Yk, U)
+    if np.any(z <= 0):
+        raise DefinitenessError("nonpositive quadratic form")
+    jc = logdet_from_chol(L)
+    jf = (pk.eta - 1.0) / N * float(np.sum(np.log(z)))
+    je = pk.lamb / N * float(np.sum(z ** pk.beta))
+    if not with_gradient:
+        return jc, jf, je, None
+    # at fixed D: dJ/dy_n = t_n D^-1 y_n; Q = dJ/dD
+    Ut = U * ((2.0 * pk.beta * pk.lamb * z ** pk.beta + 2.0 * (1.0 - pk.eta)) / (N * z))
+    Q = 0.5 * (Dinv - Ut @ U.T)
+    QZ = 2.0 * Q / cc
+    if not invariant:
+        # c = sqrt(diag Z) moves with Y_k too
+        QZ[np.diag_indices(pk.d)] -= 2.0 * np.sum(Q * D, axis=1) / c ** 2
+    return jc, jf, je, Ut + QZ @ Yk
+
+
+def _objective_terms(Y: np.ndarray, assignment: SubspaceAssignment,
+                     kotz: Sequence[KotzParams], dispersion: DispersionChoice,
+                     with_gradient: bool):
+    """Sums over subspaces of J_C, J_F, J_E, and dJ/dY (or None)."""
+    N = Y.shape[1]
+    invariant = dispersion is DispersionChoice.SCALE_INVARIANT
+    sums = [0.0, 0.0, 0.0]
+    G_Y = np.zeros_like(Y) if with_gradient else None
+    for k, pk in enumerate(kotz):
+        idx = assignment.sources(k)
+        try:
+            *terms, G_k = _subspace_terms(Y[idx], pk, N, invariant, with_gradient)
+        except DefinitenessError as e:
+            raise DefinitenessError(f"subspace {k}: {e}") from None
+        sums = [a + b for a, b in zip(sums, terms)]
+        if with_gradient:
+            G_Y[idx] = G_k
+    return (*sums, G_Y)
+
+
 def evaluate(ctx: ObjectiveContext, W: BlockTransform,
              with_gradient: bool = False) -> ObjectiveReport:
     """Objective value (and gradient on request) at the unmixing W."""
     W.check_unmixing(ctx.data, ctx.assignment)
-    N = ctx.data.n_obs
     Y = W.transform(ctx.data)
-
     jd_sum = sum(j_d_term(Wm) for Wm in W.blocks)
-
-    jc_sum = 0.0
-    jf_sum = 0.0
-    je_sum = 0.0
-    G_Y = np.zeros_like(Y) if with_gradient else None
-
-    invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
-    for k in range(ctx.assignment.n_subspaces):
-        idx = ctx.assignment.sources(k)
-        pk = ctx.kotz[k]
-        Yk = Y[idx]
-        Z = Yk @ Yk.T
-        try:
-            if invariant:
-                Sig = Z / (N - 1)
-                L = chol_pd(Sig, "sample covariance")
-                # J_C = ln det(alpha^-1 Sigma)
-                jc_sum += logdet_from_chol(L) - pk.d * np.log(pk.alpha)
-                U = np.linalg.solve(L.T, np.linalg.solve(L, Yk))
-                z = pk.alpha * np.einsum("in,in->n", Yk, U)
-            else:
-                s = np.sqrt(np.diag(Z))
-                if np.any(s <= 0):
-                    raise DefinitenessError("zero-power source row")
-                Vk = Yk * s[:, None]
-                L = chol_pd(Z, "source Gram")
-                jc_sum += logdet_from_chol(L) - 2.0 * float(np.sum(np.log(s)))
-                A = np.linalg.solve(L.T, np.linalg.solve(L, Vk))
-                z = np.einsum("in,in->n", Vk, A)
-        except DefinitenessError as e:
-            raise DefinitenessError(f"subspace {k}: {e}") from None
-        if np.any(z <= 0):
-            raise DefinitenessError(f"subspace {k}: nonpositive quadratic form")
-        jf_sum += (pk.eta - 1.0) / N * float(np.sum(np.log(z)))
-        je_sum += pk.lamb / N * float(np.sum(z ** pk.beta))
-
-        if with_gradient:
-            t = (2.0 * pk.beta * pk.lamb * z ** pk.beta + 2.0 * (1.0 - pk.eta)) / (N * z)
-            if invariant:
-                Ut = U * t
-                G_Y[idx] = pk.alpha * Ut + U / (N - 1) \
-                    - (pk.alpha / (N - 1)) * (Ut @ Yk.T) @ U
-            else:
-                B = A * t
-                g = np.einsum("in,in->i", B, Yk)
-                Zinv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(pk.d)))
-                M2 = Zinv - B @ A.T
-                np.fill_diagonal(M2, np.diag(M2) + g / s - 1.0 / np.diag(Z))
-                G_Y[idx] = B * s[:, None] + M2 @ Yk
+    jc_sum, jf_sum, je_sum, G_Y = _objective_terms(
+        Y, ctx.assignment, ctx.kotz, ctx.dispersion, with_gradient)
 
     f_const = ctx.f_constant
     value = -jd_sum + 0.5 * jc_sum - f_const - jf_sum + je_sum
@@ -169,11 +173,8 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     gradient = None
     if with_gradient:
         off = ctx.assignment.col_offsets
-        blocks = []
-        for m, (Wm, Xm) in enumerate(zip(W.blocks, ctx.data.blocks)):
-            Gm = G_Y[off[m]:off[m + 1]] @ Xm.T - pinv_transpose(Wm)
-            blocks.append(Gm)
-        gradient = BlockTransform(blocks)
+        gradient = BlockTransform([G_Y[off[m]:off[m + 1]] @ Xm.T - pinv_transpose(Wm)
+                                   for m, (Wm, Xm) in enumerate(zip(W.blocks, ctx.data.blocks))])
 
     return ObjectiveReport(value=float(value), terms=terms, gradient=gradient)
 
@@ -188,38 +189,10 @@ def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
     W may pass any constant for jd_sum (including 0). Used by the greedy
     reassignment search, which re-scores many assignments per Y.
     """
-    N = Y.shape[1]
-    invariant = dispersion is DispersionChoice.SCALE_INVARIANT
-    total = -jd_sum
-    for k in range(assignment.n_subspaces):
-        idx = assignment.sources(k)
-        pk = kotz_from_psi(psi, len(idx))
-        Yk = Y[idx]
-        Z = Yk @ Yk.T
-        try:
-            if invariant:
-                Sig = Z / (N - 1)
-                L = chol_pd(Sig, "sample covariance")
-                jc = logdet_from_chol(L) - pk.d * np.log(pk.alpha)
-                U = np.linalg.solve(L.T, np.linalg.solve(L, Yk))
-                z = pk.alpha * np.einsum("in,in->n", Yk, U)
-            else:
-                s = np.sqrt(np.diag(Z))
-                if np.any(s <= 0):
-                    raise DefinitenessError("zero-power source row")
-                Vk = Yk * s[:, None]
-                L = chol_pd(Z, "source Gram")
-                jc = logdet_from_chol(L) - 2.0 * float(np.sum(np.log(s)))
-                A = np.linalg.solve(L.T, np.linalg.solve(L, Vk))
-                z = np.einsum("in,in->n", Vk, A)
-        except DefinitenessError as e:
-            raise DefinitenessError(f"subspace {k}: {e}") from None
-        if np.any(z <= 0):
-            raise DefinitenessError(f"subspace {k}: nonpositive quadratic form")
-        total += 0.5 * jc - pk.log_norm_const
-        total -= (pk.eta - 1.0) / N * float(np.sum(np.log(z)))
-        total += pk.lamb / N * float(np.sum(z ** pk.beta))
-    return float(total)
+    kotz = [kotz_from_psi(psi, int(d)) for d in assignment.subspace_dims]
+    jc_sum, jf_sum, je_sum, _ = _objective_terms(Y, assignment, kotz, dispersion, False)
+    f_const = sum(p.log_norm_const for p in kotz)
+    return float(-jd_sum + 0.5 * jc_sum - f_const - jf_sum + je_sum)
 
 
 def relative_gradient(grad: BlockTransform, W: BlockTransform) -> BlockTransform:

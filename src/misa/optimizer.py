@@ -9,7 +9,7 @@ constraint c(W) <= delta is enforced by quadratic-penalty continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
@@ -42,7 +42,6 @@ class OptimOptions:
     lbfgs_memory: int = 10
     tol_fun: float = 1e-4
     tol_x: float = 1e-9
-    constraint_threshold: Optional[float] = None
     penalty_mu0: float = 10.0
     penalty_growth: float = 10.0
     seed: int = 0

@@ -266,6 +266,18 @@ class TestCli:
         rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
 
+    def test_solve_gpca_unequal_source_counts_rejected(self, tmp_path):
+        # gpca keeps C_1 rows per dataset, so unequal C_m cannot be reduced
+        cfg = write_smoke_cfg(tmp_path, reduce="gpca",
+                              sim={"subspace_dims": [[1, 1], [1, 2]],
+                                   "dims_v": [3, 3], "n_obs": 500,
+                                   "cond_target": 2.0})
+        inst = tmp_path / "inst"
+        assert cli_main(["generate", "--config", str(cfg), "--out", str(inst)]) == 0
+        with pytest.raises(ConfigError, match="gpca"):
+            cli_main(["solve", "--config", str(cfg), "--data", str(inst),
+                      "--out", str(tmp_path / "est")])
+
     def test_missing_config_and_preset(self):
         with pytest.raises(SystemExit):
             cli_main(["experiment"])

@@ -14,6 +14,7 @@ from misa import (
     relative_gradient,
 )
 from misa.gradcheck import fd_gradient, max_rel_error
+from misa.objective import value_from_sources
 
 
 def small_instance(rng, M=2, C=4, N=400):
@@ -138,12 +139,16 @@ class TestValueProperties:
         assert wins >= 48  # >= 95%
 
 
-class TestContext:
-    def test_gram_rebuild(self):
-        rng = np.random.default_rng(8)
-        X, P, _ = small_instance(rng)
-        ctx = ObjectiveContext(X, P)
-        assert ctx.gram_rebuild_error() < 1e-10
+class TestValueFromSources:
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_matches_evaluate(self, mode, M):
+        rng = np.random.default_rng(10 + M)
+        X, P, W = small_instance(rng, M=M)
+        jd = sum(j_d_term(Wm) for Wm in W.blocks)
+        v = value_from_sources(W.transform(X), P, mode, jd_sum=jd)
+        assert v == pytest.approx(evaluate(ObjectiveContext(X, P, dispersion=mode), W).value,
+                                  abs=1e-10)
 
 
 class TestRelativeGradient:
