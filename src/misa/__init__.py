@@ -40,16 +40,13 @@ from .optimizer import (
     Solution,
     Status,
     minimize,
-    minimize_constrained,
     random_row_orthonormal,
 )
 from .reduction import (
     ReductionResult,
     gpca_init,
-    optimal_estimator,
     pre_gradient,
     pre_value,
-    re_wt_value,
     reduce_data,
 )
 from .combinatorics import (

@@ -89,14 +89,13 @@ def match(P_est, P_ud) -> np.ndarray:
 
 
 def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
-               psi: Sequence[float] = PSI_LAPLACE,
-               scale_control: bool = False) -> float:
-    """Objective value at fixed W, used to score assignment candidates."""
-    mode = (DispersionChoice.SCALE_CONTROLLED if scale_control
-            else DispersionChoice.SCALE_INVARIANT)
+               psi: Sequence[float] = PSI_LAPLACE) -> float:
+    """Scale-invariant objective value at fixed W, used to score assignment
+    candidates."""
     Y = W.transform(data)
     jd = sum(obj.j_d_term(Wm) for Wm in W.blocks)
-    return obj.value_from_sources(Y, P, mode, psi=psi, jd_sum=jd)
+    return obj.value_from_sources(Y, P, DispersionChoice.SCALE_INVARIANT,
+                                  psi=psi, jd_sum=jd)
 
 
 @dataclass
@@ -180,18 +179,15 @@ def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,
 
 
 def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
-                  W: BlockTransform, psi: Sequence[float] = PSI_LAPLACE,
-                  mode: str = "auto") -> BlockTransform:
+                  W: BlockTransform, psi: Sequence[float] = PSI_LAPLACE) -> BlockTransform:
     """Realign same-size subspaces across datasets by permuting W rows.
 
     Within each dataset, subspaces occupying the same number of rows there
     may be interchanged without breaking the prescribed structure; the search
     picks the combination minimizing the scale-invariant cost. Exhaustive
-    enumeration is used when the total permutation count is at most 1e4
-    (or mode="exhaustive"), else greedy pairwise swaps to a fixed point.
+    enumeration is used when the total permutation count is at most
+    EXHAUSTIVE_PERM_LIMIT, else greedy pairwise swaps to a fixed point.
     """
-    if mode not in ("auto", "exhaustive", "greedy"):
-        raise DomainError(f"unknown mode {mode!r}")
     M = data.n_datasets
     d_km = P_ud.per_dataset_dims()
     off = P_ud.col_offsets
@@ -232,11 +228,9 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
     total = 1
     for _, _, ks in groups:
         total *= math.factorial(len(ks))
-    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= EXHAUSTIVE_PERM_LIMIT)
-
     best_orders = identity_orders
     best_cost = cost_of(best_orders)
-    if exhaustive:
+    if total <= EXHAUSTIVE_PERM_LIMIT:
         perm_sets = [list(itertools.permutations(range(len(ks)))) for _, _, ks in groups]
         for combo in itertools.product(*perm_sets):
             orders = identity_orders
@@ -340,7 +334,7 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
         sol_t = run_misa(data, P_ud, W, opts=opts, psi=psi)
         W = sol_t.W_final
         Ws.append(W)
-        vals.append(cost_value(data, P_ud, W, psi=psi, scale_control=False))
+        vals.append(cost_value(data, P_ud, W, psi=psi))
         sols.append(sol_t)
         if t >= 2 and abs(vals[t] - vals[t - 1]) < TIE_EPS:
             break

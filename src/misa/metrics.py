@@ -17,25 +17,14 @@ MISI_EXCELLENT = 0.01
 def interference_matrix(W_hat: BlockTransform, A: BlockTransform,
                         P: SubspaceAssignment) -> np.ndarray:
     """H with h_ij = total |W_hat A| mass mapping true subspace j into
-    estimated subspace i, from the block-diagonal product."""
-    if W_hat.n_datasets != A.n_datasets:
+    estimated subspace i: the sum over datasets of P_m |W_m A_m| P_m^T."""
+    if not W_hat.n_datasets == A.n_datasets == len(P.col_dims):
         raise ShapeError("block count mismatch")
-    # block-diagonal product; cross-dataset blocks are zero
-    sizes_r = [Wm.shape[0] for Wm in W_hat.blocks]
-    sizes_c = [Am.shape[1] for Am in A.blocks]
-    G = np.zeros((sum(sizes_r), sum(sizes_c)))
-    ro = co = 0
-    for Wm, Am in zip(W_hat.blocks, A.blocks):
-        B = Wm @ Am
-        G[ro:ro + B.shape[0], co:co + B.shape[1]] = np.abs(B)
-        ro += B.shape[0]
-        co += B.shape[1]
     K = P.n_subspaces
     H = np.zeros((K, K))
-    for i in range(K):
-        ri = P.sources(i)
-        for j in range(K):
-            H[i, j] = float(np.sum(G[np.ix_(ri, P.sources(j))]))
+    for m, (Wm, Am) in enumerate(zip(W_hat.blocks, A.blocks)):
+        Pm = P.dataset_block(m)
+        H += Pm @ np.abs(Wm @ Am) @ Pm.T
     return H
 
 

@@ -7,7 +7,7 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -281,10 +281,6 @@ class BlockTransform:
     def n_datasets(self) -> int:
         return len(self.blocks)
 
-    @property
-    def row_dims(self) -> list:
-        return [b.shape[0] for b in self.blocks]
-
     def transform(self, data: MultiDataset) -> np.ndarray:
         """Stacked source estimates Y = blockdiag(W) X, shape C_bar x N."""
         if data.n_datasets != self.n_datasets:
@@ -301,9 +297,3 @@ class BlockTransform:
                 raise ShapeError(f"block {m}: need V_m >= C_m, got C={W.shape[0]} V={V}")
             if W.shape[0] != assignment.col_dims[m]:
                 raise ShapeError(f"block {m}: W rows do not match assignment source count")
-
-    def map(self, fn) -> "BlockTransform":
-        return BlockTransform([fn(b) for b in self.blocks])
-
-    def copy(self) -> "BlockTransform":
-        return BlockTransform([b.copy() for b in self.blocks])

@@ -3,8 +3,7 @@
 Operates on the flattened free entries of a BlockTransform. The search
 gradient is whatever the callback supplies; the MISA solvers pass the
 relative gradient. Box bounds are handled by projecting trial points onto
-the box, so iterates never leave it. The optional reconstruction-error
-constraint c(W) <= delta is enforced by quadratic-penalty continuation.
+the box, so iterates never leave it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import BlockTransform
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 MAX_BISECTIONS = 20
-PENALTY_MU_MAX = 1e12
 
 
 class Status(Enum):
@@ -42,9 +40,6 @@ class OptimOptions:
     lbfgs_memory: int = 10
     tol_fun: float = 1e-4
     tol_x: float = 1e-9
-    penalty_mu0: float = 10.0
-    penalty_growth: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
@@ -73,8 +68,6 @@ class Solution:
     trace: List[IterRecord]
     n_iters: int
     n_evals: int
-    constraint_value: Optional[float] = None
-    constraint_satisfied: bool = True
 
 
 def random_row_orthonormal(C: int, V: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,48 +226,3 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
 
     return Solution(W_final=flat.to_blocks(x), objective_value=f, status=status,
                     trace=trace, n_iters=n_iter, n_evals=evals[0])
-
-
-def minimize_constrained(
-        f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]],
-        c_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]],
-        delta: float, W0: BlockTransform,
-        opts: Optional[OptimOptions] = None) -> Solution:
-    """Minimize f subject to c(W) <= delta by quadratic-penalty continuation.
-
-    The penalty weight grows geometrically until the constraint violation
-    drops below 1e-8 or the weight cap is reached; a cap hit with violation
-    still >= 1e-6 is reported on the Solution, not raised.
-    """
-    opts = opts or OptimOptions()
-    c0, _ = c_and_grad(W0)
-    if not (c0 <= delta):
-        raise DomainError(f"infeasible start: c(W0) = {c0:.3e} > delta = {delta:.3e}")
-    if np.isinf(delta):
-        sol = minimize(f_and_grad, W0, opts)
-        sol.constraint_value = float(c0)
-        return sol
-
-    W = W0
-    sol = None
-    mu = opts.penalty_mu0
-    while True:
-        def fg_pen(Wt, mu=mu):
-            fv, gf = f_and_grad(Wt)
-            cv, gc = c_and_grad(Wt)
-            viol = max(0.0, cv - delta)
-            if viol == 0.0:
-                return fv, gf
-            blocks = [a + 2.0 * mu * viol * b for a, b in zip(gf.blocks, gc.blocks)]
-            return fv + mu * viol * viol, BlockTransform(blocks)
-
-        sol = minimize(fg_pen, W, opts)
-        W = sol.W_final
-        cv, _ = c_and_grad(W)
-        viol = max(0.0, cv - delta)
-        if viol < 1e-8 or mu >= PENALTY_MU_MAX:
-            sol.constraint_value = float(cv)
-            sol.objective_value = f_and_grad(W)[0]
-            sol.constraint_satisfied = viol < 1e-6
-            return sol
-        mu *= opts.penalty_growth

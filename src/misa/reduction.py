@@ -1,19 +1,19 @@
-"""Reconstruction-error machinery for data reduction and constraints.
+"""Reconstruction-error machinery for data reduction.
 
-PRE is the proportion of data power missed by the projector W^- W; RE is the
-cheaper variant with W^T in place of the pseudoinverse. reduce_data minimizes
-PRE per dataset to find the reduction transform B*, and gpca_init provides
-the group-PCA alternative over the concatenated datasets.
+PRE is the proportion of data power missed by the projector W^- W.
+reduce_data minimizes PRE per dataset to find the reduction transform B*,
+and gpca_init provides the group-PCA alternative over the concatenated
+datasets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, RankError, ShapeError
+from .errors import DomainError, RankError, ShapeError
 from . import optimizer as opt
 from .model import BlockTransform, MultiDataset
 from .objective import RANK_RTOL
@@ -43,8 +43,7 @@ def pre_value(W: BlockTransform, X: MultiDataset) -> float:
     """Pseudoinverse reconstruction error, averaged across datasets.
 
     Per dataset: mean squared norm of W^-(WX) - X over observations, divided
-    by the mean squared data norm. The arithmetic mean across datasets keeps
-    a constraint threshold scale-free.
+    by the mean squared data norm, so the value is scale-free.
     """
     if W.n_datasets != X.n_datasets:
         raise ShapeError("block count mismatch")
@@ -65,45 +64,6 @@ def pre_gradient(W: BlockTransform, X: MultiDataset) -> BlockTransform:
         C = (2.0 / (_x_norm(Xm) * N)) * (Wp.T @ B)
         out.append((C - (C @ Wp) @ Wm) / M)
     return BlockTransform(out)
-
-
-def re_wt_value(W: BlockTransform, X: MultiDataset) -> float:
-    """Reconstruction error using W^T as the estimator; equals pre_value when
-    W has orthonormal rows."""
-    if W.n_datasets != X.n_datasets:
-        raise ShapeError("block count mismatch")
-    vals = []
-    for Wm, Xm in zip(W.blocks, X.blocks):
-        R = Wm.T @ (Wm @ Xm) - Xm
-        vals.append(float(np.sum(R * R)) / (Xm.shape[1] * _x_norm(Xm)))
-    return float(np.mean(vals))
-
-
-def optimal_estimator(W: BlockTransform, X: MultiDataset) -> BlockTransform:
-    """High-SNR optimal linear estimator A_hat = Sigma_x W^T (W Sigma_x W^T)^-1
-    per dataset; equals W^- on whitened data."""
-    if W.n_datasets != X.n_datasets:
-        raise ShapeError("block count mismatch")
-    out = []
-    for Wm, Xm in zip(W.blocks, X.blocks):
-        N = Xm.shape[1]
-        Sx = Xm @ Xm.T / (N - 1)
-        Sy = Wm @ Sx @ Wm.T
-        try:
-            L = np.linalg.cholesky(Sy)
-        except np.linalg.LinAlgError:
-            raise DefinitenessError("singular source covariance") from None
-        out.append(np.linalg.solve(L.T, np.linalg.solve(L, Wm @ Sx)).T)
-    return BlockTransform(out)
-
-
-def whitening_matrix(Xm: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of the sample covariance, with an
-    eigenvalue floor of 1e-12 * lambda_max."""
-    S = Xm @ Xm.T / (Xm.shape[1] - 1)
-    lam, E = np.linalg.eigh(S)
-    lam = np.maximum(lam, 1e-12 * lam[-1])
-    return (E / np.sqrt(lam)) @ E.T
 
 
 @dataclass
@@ -144,10 +104,7 @@ def reduce_data(X: MultiDataset, target_dims: Sequence[int],
 
         g0 = np.linalg.norm(fg(B0)[1].blocks[0])
         tol = 10.0 ** np.floor(np.log10(max(g0, 1e-300))) / precision_b
-        o = options or opt.OptimOptions()
-        o = opt.OptimOptions(lower=o.lower, upper=o.upper, typical_x=o.typical_x,
-                             max_fun_evals=o.max_fun_evals, max_iters=o.max_iters,
-                             lbfgs_memory=o.lbfgs_memory, tol_fun=tol, tol_x=tol)
+        o = replace(options or opt.OptimOptions(), tol_fun=tol, tol_x=tol)
         sol = opt.minimize(fg, B0, o)
         Bm = sol.W_final.blocks[0]
         b_blocks.append(Bm)

@@ -5,7 +5,6 @@ import pytest
 
 from misa import (
     BlockTransform,
-    DomainError,
     MultiDataset,
     OptimOptions,
     ShapeError,
@@ -21,6 +20,7 @@ from misa import (
     run_misa,
     subspace_perm,
 )
+from misa import combinatorics
 from misa.combinatorics import TIE_EPS, cost_value
 
 OPTS = OptimOptions(tol_fun=1e-8)
@@ -235,7 +235,7 @@ class TestSubspacePerm:
         c_ref = cost_value(data, P, BlockTransform(W))
         assert c_fixed == pytest.approx(c_ref, abs=1e-8)
 
-    def test_exhaustive_greedy_agree(self):
+    def test_exhaustive_greedy_agree(self, monkeypatch):
         for seed in range(5):
             spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1], [1, 1]]),
                            dims_v=[3, 3], n_obs=2000, cond_target=2.0,
@@ -244,22 +244,19 @@ class TestSubspacePerm:
             rng = np.random.default_rng(seed)
             W = BlockTransform([np.linalg.inv(A)[rng.permutation(3)]
                                 for A in truth.A.blocks])
-            out_e = subspace_perm(data, P, W, mode="exhaustive")
-            out_g = subspace_perm(data, P, W, mode="greedy")
+            out_e = subspace_perm(data, P, W)
+            with monkeypatch.context() as mp:
+                mp.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
+                out_g = subspace_perm(data, P, W)
             assert cost_value(data, P, out_g) == pytest.approx(
                 cost_value(data, P, out_e), abs=1e-9)
 
-    def test_greedy_never_increases(self):
+    def test_greedy_never_increases(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
         spec = SimSpec(subspace_dims=np.ones((4, 2), dtype=int), dims_v=[4, 4],
                        n_obs=2000, cond_target=2.0, rho_max=0.6, seed=8)
         data, truth, P = build_instance(spec)
         rng = np.random.default_rng(8)
         W = BlockTransform([random_row_orthonormal(4, 4, rng) for _ in range(2)])
-        out = subspace_perm(data, P, W, mode="greedy")
+        out = subspace_perm(data, P, W)
         assert cost_value(data, P, out) <= cost_value(data, P, W) + TIE_EPS
-
-    def test_bad_mode(self):
-        data, truth, P = isa_instance()
-        W = BlockTransform([np.eye(4)])
-        with pytest.raises(DomainError):
-            subspace_perm(data, P, W, mode="quantum")

@@ -5,9 +5,12 @@ import pytest
 
 from misa import (
     ConfigError,
+    DefinitenessError,
     ParseError,
     RunRecord,
+    SubspaceAssignment,
     config_from_dict,
+    correlation_summary,
     load_matrix,
     preset,
     run_experiment,
@@ -15,6 +18,7 @@ from misa import (
     summarize,
     write_results,
 )
+from misa import harness
 from misa.cli import main as cli_main
 
 
@@ -204,6 +208,23 @@ class TestRunExperiment:
         run_experiment(smoke_config(str(d2), threads=2))
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
 
+    def test_bug_in_replicate_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug, not a numerical failure")
+
+        monkeypatch.setattr(harness, "solve_instance", broken)
+        with pytest.raises(TypeError):
+            run_experiment(smoke_config())
+
+    def test_numerical_failure_recorded(self, monkeypatch):
+        def singular(*args):
+            raise DefinitenessError("dispersion is not positive definite")
+
+        monkeypatch.setattr(harness, "solve_instance", singular)
+        records, summary = run_experiment(smoke_config())
+        assert [r.status for r in records] == ["error:DefinitenessError"] * 4
+        assert np.isnan(summary["median_best_misi"])
+
     def test_write_results_files(self, tmp_path):
         recs = [fake_record(0, 0, 0.01)]
         write_results(tmp_path, recs, {"good": True})
@@ -212,6 +233,43 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "summary.json").read_text()) == {"good": True}
         header = (tmp_path / "records.csv").read_text().splitlines()[0]
         assert "wall_time" not in header
+
+
+def correlation_summary_reference(Y_hat, Y_true, P):
+    """Per-pair np.corrcoef double loop, the definition being vectorized."""
+    K = P.n_subspaces
+    R = np.zeros((K, K))
+    off = P.col_offsets
+    for i in range(K):
+        for j in range(K):
+            vals = []
+            for m in range(len(P.col_dims)):
+                ei = P.sources(i)
+                ei = ei[(ei >= off[m]) & (ei < off[m + 1])]
+                tj = P.sources(j)
+                tj = tj[(tj >= off[m]) & (tj < off[m + 1])]
+                if len(ei) == 0 or len(tj) == 0:
+                    continue
+                pair = [abs(np.corrcoef(Y_hat[a], Y_true[b])[0, 1])
+                        for a in ei for b in tj]
+                vals.append(float(np.mean(pair)))
+            R[i, j] = float(np.mean(vals)) if vals else 0.0
+    return R
+
+
+class TestCorrelationSummary:
+    def test_matches_pairwise_reference(self):
+        # subspaces absent from one dataset and one holding two sources
+        # per dataset exercise the present-in-both rule and the pair means
+        P = SubspaceAssignment.from_dataset_dims(
+            np.array([[1, 1], [1, 0], [0, 1], [2, 2]]))
+        rng = np.random.default_rng(5)
+        Y_true = rng.standard_normal((P.n_sources, 300))
+        Y_hat = rng.standard_normal((P.n_sources, P.n_sources)) @ Y_true
+        got = correlation_summary(Y_hat, Y_true, P)
+        ref = correlation_summary_reference(Y_hat, Y_true, P)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+        assert got[1, 2] == 0.0 and got[2, 1] == 0.0
 
 
 def write_smoke_cfg(tmp_path, **extra):

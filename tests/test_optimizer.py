@@ -7,7 +7,6 @@ from misa import (
     OptimOptions,
     Status,
     minimize,
-    minimize_constrained,
 )
 from misa.optimizer import lbfgs_direction
 
@@ -134,38 +133,3 @@ class TestOptions:
         with pytest.raises(DomainError):
             OptimOptions(tol_fun=0.0)
 
-
-class TestMinimizeConstrained:
-    @staticmethod
-    def norm_sq(W):
-        w = W.blocks[0].ravel()
-        return float(w @ w), vec(2 * w)
-
-    @staticmethod
-    def neg_first(W):
-        w = W.blocks[0].ravel()
-        g = np.zeros_like(w)
-        g[0] = -1.0
-        return float(-w[0]), vec(g)
-
-    def test_inactive_constraint_matches_unconstrained(self):
-        opts = OptimOptions(tol_fun=1e-13)
-        sol_u = minimize(quadratic([1.0, 2.0]), vec([0.0, 0.0]), opts)
-        sol_c = minimize_constrained(quadratic([1.0, 2.0]), self.norm_sq,
-                                     np.inf, vec([0.0, 0.0]), opts)
-        vals_u = [r.value for r in sol_u.trace]
-        vals_c = [r.value for r in sol_c.trace]
-        assert vals_u == vals_c
-
-    def test_hand_kkt_solution(self):
-        opts = OptimOptions(tol_fun=1e-13, tol_x=1e-13)
-        sol = minimize_constrained(self.norm_sq, self.neg_first, -1.0,
-                                   vec([2.0, 0.5, 0.5]), opts)
-        w = sol.W_final.blocks[0].ravel()
-        assert np.allclose(w, [1.0, 0.0, 0.0], atol=1e-6)
-        assert sol.constraint_satisfied
-
-    def test_infeasible_start_rejected(self):
-        with pytest.raises(DomainError):
-            minimize_constrained(self.norm_sq, self.neg_first, -1.0,
-                                 vec([0.0, 0.0, 0.0]), OptimOptions())

@@ -9,15 +9,11 @@ from misa import (
     SimSpec,
     build_instance,
     gpca_init,
-    optimal_estimator,
     pre_gradient,
     pre_value,
-    random_row_orthonormal,
-    re_wt_value,
     reduce_data,
 )
 from misa.gradcheck import fd_gradient, max_rel_error
-from misa.reduction import whitening_matrix
 
 
 class TestPreValue:
@@ -82,51 +78,6 @@ class TestPreGradient:
         X = MultiDataset([np.zeros((3, 10))])
         with pytest.raises(DomainError):
             pre_gradient(BlockTransform([np.eye(3)]), X)
-
-
-class TestReWt:
-    def test_equals_pre_for_row_orthonormal(self):
-        rng = np.random.default_rng(6)
-        W = BlockTransform([random_row_orthonormal(2, 5, rng)])
-        X = MultiDataset([rng.standard_normal((5, 30))])
-        assert re_wt_value(W, X) == pytest.approx(pre_value(W, X), abs=1e-12)
-
-    def test_scaled_orthonormal_is_worse(self):
-        rng = np.random.default_rng(7)
-        U = random_row_orthonormal(2, 5, rng)
-        X = MultiDataset([rng.standard_normal((5, 30))])
-        assert re_wt_value(BlockTransform([2 * U]), X) > pre_value(BlockTransform([2 * U]), X)
-
-    def test_square_orthogonal_zero(self):
-        rng = np.random.default_rng(8)
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        X = MultiDataset([rng.standard_normal((4, 30))])
-        assert re_wt_value(BlockTransform([Q]), X) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestOptimalEstimator:
-    def test_whitened_gives_pseudoinverse(self):
-        rng = np.random.default_rng(9)
-        raw = rng.standard_normal((4, 5000))
-        Xw = whitening_matrix(raw) @ raw
-        X = MultiDataset([Xw])
-        W = rng.standard_normal((2, 4))
-        A_hat = optimal_estimator(BlockTransform([W]), X)
-        np.testing.assert_allclose(A_hat.blocks[0], np.linalg.pinv(W), atol=1e-10)
-
-    def test_noiseless_recovers_mixing(self):
-        rng = np.random.default_rng(10)
-        A = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        Y = rng.standard_normal((3, 2000))
-        X = MultiDataset([A @ Y])
-        A_hat = optimal_estimator(BlockTransform([np.linalg.inv(A)]), X)
-        np.testing.assert_allclose(A_hat.blocks[0], A, atol=1e-8)
-
-    def test_diagonal_covariance_identity_w(self):
-        rng = np.random.default_rng(11)
-        X = MultiDataset([np.diag([1.0, 2.0, 0.5]) @ rng.standard_normal((3, 5000))])
-        A_hat = optimal_estimator(BlockTransform([np.eye(3)]), X)
-        np.testing.assert_allclose(A_hat.blocks[0], np.eye(3), atol=1e-10)
 
 
 class TestReduceData:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import laplace
 
 from misa import (
     DomainError,
@@ -148,6 +150,21 @@ class TestCopulaSources:
 
         assert err(50) <= err(1) + 0.02
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.85, 0.99])
+    def test_single_draw_matches_explicit_recursion(self, rho):
+        # pins the random stream and the AR(1) filter bit for bit
+        C, N, seed = 3, 400, 16
+        R = toeplitz_corr(C, 0.5)
+        Y = sample_copula_sources(C, N, R, ar_rho=rho, n_draws=1, seed=seed)
+        E = np.random.default_rng(seed).standard_normal((C, N))
+        Z = np.empty((C, N))
+        Z[:, 0] = E[:, 0]
+        for t in range(1, N):
+            Z[:, t] = rho * Z[:, t - 1] + np.sqrt(1.0 - rho ** 2) * E[:, t]
+        U = np.clip(ndtr(np.linalg.cholesky(R) @ Z), 1e-12, 1.0 - 1e-12)
+        expected = laplace.ppf(U, loc=0.0, scale=1.0 / np.sqrt(2.0))
+        assert np.array_equal(Y, expected)
+
     def test_deterministic(self):
         Y1 = sample_copula_sources(2, 500, np.eye(2), seed=15)
         Y2 = sample_copula_sources(2, 500, np.eye(2), seed=15)
@@ -190,9 +207,7 @@ class TestBuildInstance:
         data, truth, P = build_instance(spec)
         A = truth.A.blocks[0]
         sig = np.sum((A @ truth.Y[:6]) ** 2)
-        # truth.noise holds the unit-variance draw; the applied noise is
-        # noise_scales[m] times it
-        noise = np.sum((truth.noise_scales[0] * truth.noise[0]) ** 2)
+        noise = np.sum((data.blocks[0] - A @ truth.Y[:6]) ** 2)
         realized_db = 10 * np.log10(1.0 + sig / noise)
         assert realized_db == pytest.approx(10.0, rel=0.02)
 

@@ -1,18 +1,25 @@
-"""The benchmark's traced mode wraps misa functions by name; a rename must
-fail here rather than in a traced benchmark run."""
+"""The benchmark wraps misa functions by name and builds its configs from
+the harness presets; a rename or a removed field must fail here rather than
+in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 from misa import combinatorics, harness, objective
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_installs_and_uninstalls():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load("tracer")
     originals = (harness._run_replicate, objective.evaluate,
                  objective.value_from_sources, combinatorics.hungarian)
     t = tracer.Tracer()
@@ -23,3 +30,9 @@ def test_tracer_installs_and_uninstalls():
         t.uninstall()
     assert (harness._run_replicate, objective.evaluate,
             objective.value_from_sources, combinatorics.hungarian) == originals
+
+
+def test_workload_configs_build():
+    workloads = load("workloads")
+    for name in workloads.WORKLOADS:
+        assert isinstance(workloads.build_config(name, 1), harness.ExperimentConfig)
