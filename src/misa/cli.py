@@ -3,14 +3,13 @@
 Verbs: generate (emit a synthetic instance to disk), solve (run the
 estimation chain on a saved instance), experiment (full replicated
 protocol), gradcheck (finite-difference audit), score (metrics on saved
-estimates). The MISA_THREADS environment variable overrides --threads.
+estimates).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,13 +21,6 @@ from . import harness
 from . import metrics
 from .io import load_matrix, save_matrix
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
-
-
-def _threads(args) -> int:
-    env = os.environ.get("MISA_THREADS")
-    if env is not None:
-        return int(env)
-    return getattr(args, "threads", 1) or 1
 
 
 def _load_cfg(args) -> harness.ExperimentConfig:
@@ -111,7 +103,8 @@ def cmd_solve(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_cfg(args)
-    cfg.threads = _threads(args)
+    if args.threads is not None:
+        cfg.threads = args.threads
     if args.out:
         cfg.out_dir = args.out
     records, summary = harness.run_experiment(cfg)
@@ -157,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--experiment", help="preset id (ica1|iva1|iva2|isa1|isa2|isa3)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("generate", help="emit a synthetic instance")
     common(p, out_required=True)
@@ -170,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a full replicated protocol")
     common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="replicate pool size (default: the config's threads)")
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")

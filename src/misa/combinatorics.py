@@ -8,10 +8,10 @@ linear sum assignment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,6 +23,7 @@ from .model import (
     DispersionChoice,
     MultiDataset,
     SubspaceAssignment,
+    kotz_from_psi,
 )
 from . import objective as obj
 from . import optimizer as opt
@@ -46,8 +47,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 def _as_p_matrix(P) -> np.ndarray:
     if isinstance(P, SubspaceAssignment):
-        return np.asarray(P.P)
-    return np.asarray(P)
+        P = P.P
+    return np.asarray(P, dtype=int)
 
 
 def match(P_est, P_ud) -> np.ndarray:
@@ -72,10 +73,7 @@ def match(P_est, P_ud) -> np.ndarray:
     cost = np.zeros((n, n))
     de = Pe.sum(axis=1)
     du = Pu.sum(axis=1)
-    for i in range(Ke):
-        for j in range(Ku):
-            overlap = int(np.sum(Pe[i] * Pu[j]))
-            cost[i, j] = abs(int(de[i]) - int(du[j])) * C - overlap
+    cost[:Ke, :Ku] = np.abs(de[:, None] - du[None, :]) * C - Pe @ Pu.T
     perm = hungarian(cost)
     est_for_ud = {int(perm[i]): i for i in range(Ke) if perm[i] < Ku}
     order: List[int] = []
@@ -83,84 +81,56 @@ def match(P_est, P_ud) -> np.ndarray:
         i = est_for_ud.get(j)
         if i is not None:
             order.extend(int(c) for c in np.flatnonzero(Pe[i]))
-    leftover = [c for c in range(C) if c not in set(order)]
-    order.extend(leftover)
+    used = set(order)
+    order.extend(c for c in range(C) if c not in used)
     return np.asarray(order, dtype=int)
 
 
 def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
                psi: Sequence[float] = PSI_LAPLACE) -> float:
-    """Scale-invariant objective value at fixed W, used to score assignment
+    """Scale-invariant objective value at W, used to score assignment
     candidates."""
-    Y = W.transform(data)
-    jd = sum(obj.j_d_term(Wm) for Wm in W.blocks)
-    return obj.value_from_sources(Y, P, DispersionChoice.SCALE_INVARIANT,
-                                  psi=psi, jd_sum=jd)
-
-
-@dataclass
-class GpReport:
-    chosen: List[int] = field(default_factory=list)
-    candidate_costs: List[np.ndarray] = field(default_factory=list)
-    tie_events: int = 0
-
-
-def _remove_empty_rows(P: np.ndarray) -> np.ndarray:
-    return P[P.sum(axis=1) > 0]
+    ctx = obj.ObjectiveContext(data, P, DispersionChoice.SCALE_INVARIANT, psi=psi)
+    return obj.evaluate(ctx, W).value
 
 
 def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
-       psi: Sequence[float] = PSI_LAPLACE, return_report: bool = False):
+       psi: Sequence[float] = PSI_LAPLACE) -> SubspaceAssignment:
     """Greedy source-group reassignment at fixed W (single dataset).
 
-    For each source in turn, detach the sources sharing its subspace and try
-    assigning them to every existing subspace plus one fresh one, scoring
-    with the scale-invariant cost; keep the argmin, reverting to the
-    incumbent when the improvement is below the tie threshold. The cost
-    never increases.
+    For each source in turn, try merging the group holding it into each
+    other group. The scale-invariant cost is a sum over subspaces, so merging
+    S_i into S_j changes it by cost(S_j + S_i) - cost(S_j) - cost(S_i); the
+    most negative change is taken when it is below -TIE_EPS. The cost never
+    increases.
     """
     if data.n_datasets != 1:
         raise ShapeError("gp operates on a single dataset")
-    C = P.n_sources
-    col_dims = P.col_dims
     Y = W.transform(data)
-    jd = 0.0  # constant across candidates at fixed W
+    N = Y.shape[1]
 
-    def score(Pmat: np.ndarray) -> float:
-        sa = SubspaceAssignment(_remove_empty_rows(Pmat), col_dims)
-        return obj.value_from_sources(Y, sa, DispersionChoice.SCALE_INVARIANT,
-                                      psi=psi, jd_sum=jd)
+    @functools.lru_cache(maxsize=None)
+    def cost(group: Tuple[int, ...]) -> float:
+        return obj.subspace_value(Y[list(group)], kotz_from_psi(psi, len(group)),
+                                  N, invariant=True)
 
-    Pcur = np.asarray(P.P).copy()
-    report = GpReport()
-    for c in range(C):
-        K = Pcur.shape[0]
-        kurrent = int(np.flatnonzero(Pcur[:, c])[0])
-        group = np.flatnonzero(Pcur[kurrent])
-        base = Pcur.copy()
-        base[:, group] = 0
-        vals = np.empty(K + 1)
-        for k in range(K + 1):
-            cand = np.vstack([base, np.zeros((1, C), dtype=base.dtype)]) if k == K else base.copy()
-            cand[k, group] = 1
-            vals[k] = score(cand)
-        k_best = int(np.argmin(vals))
-        if k_best != kurrent and abs(vals[k_best] - vals[kurrent]) < TIE_EPS:
-            k_best = kurrent
-            report.tie_events += 1
-        if k_best == K:
-            Pcur = np.vstack([base, np.zeros((1, C), dtype=base.dtype)])
-            Pcur[K, group] = 1
-        else:
-            Pcur = base
-            Pcur[k_best, group] = 1
-        Pcur = _remove_empty_rows(Pcur)
-        report.chosen.append(k_best)
-        report.candidate_costs.append(vals)
-    result = SubspaceAssignment(Pcur, col_dims)
-    if return_report:
-        return result, report
-    return result
+    groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
+    for c in range(P.n_sources):
+        if len(groups) == 1:
+            break
+        i = next(k for k, g in enumerate(groups) if c in g)
+        others = [j for j in range(len(groups)) if j != i]
+        # ascending, as SubspaceAssignment.sources orders a subspace's rows
+        merged = {j: tuple(sorted(groups[j] + groups[i])) for j in others}
+        delta = {j: cost(merged[j]) - cost(groups[j]) - cost(groups[i]) for j in others}
+        j = min(others, key=delta.get)
+        if delta[j] < -TIE_EPS:
+            groups[j] = merged[j]
+            del groups[i]
+    Pnew = np.zeros((len(groups), P.n_sources), dtype=np.int8)
+    for k, g in enumerate(groups):
+        Pnew[k, list(g)] = 1
+    return SubspaceAssignment(Pnew, P.col_dims)
 
 
 def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,

@@ -136,6 +136,23 @@ def _subspace_terms(Yk: np.ndarray, pk: KotzParams, N: int, invariant: bool,
     return jc, jf, je, Ut + QZ @ Yk
 
 
+def subspace_value(Yk: np.ndarray, pk: KotzParams, N: int,
+                   invariant: bool) -> float:
+    """One subspace's share of the objective, 0.5 J_C - J_F + J_E minus its
+    Kotz log normalizer. The objective is the sum of these less J_D, so a
+    change of assignment at fixed W moves only the shares it touches."""
+    jc, jf, je, _ = _subspace_terms(Yk, pk, N, invariant, False)
+    return 0.5 * jc - jf + je - pk.log_norm_const
+
+
+def _in_subspace(k: int, fn, *args):
+    """fn(*args), naming subspace k in a DefinitenessError it raises."""
+    try:
+        return fn(*args)
+    except DefinitenessError as e:
+        raise DefinitenessError(f"subspace {k}: {e}") from None
+
+
 def _objective_terms(Y: np.ndarray, assignment: SubspaceAssignment,
                      kotz: Sequence[KotzParams], dispersion: DispersionChoice,
                      with_gradient: bool):
@@ -146,10 +163,8 @@ def _objective_terms(Y: np.ndarray, assignment: SubspaceAssignment,
     G_Y = np.zeros_like(Y) if with_gradient else None
     for k, pk in enumerate(kotz):
         idx = assignment.sources(k)
-        try:
-            *terms, G_k = _subspace_terms(Y[idx], pk, N, invariant, with_gradient)
-        except DefinitenessError as e:
-            raise DefinitenessError(f"subspace {k}: {e}") from None
+        *terms, G_k = _in_subspace(k, _subspace_terms, Y[idx], pk, N, invariant,
+                                   with_gradient)
         sums = [a + b for a, b in zip(sums, terms)]
         if with_gradient:
             G_Y[idx] = G_k
@@ -181,18 +196,15 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
 
 def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
                        dispersion: DispersionChoice,
-                       psi: Sequence[float] = PSI_LAPLACE,
-                       jd_sum: float = 0.0) -> float:
-    """Objective value from precomputed sources Y = W X.
-
-    The J_D term depends only on W, so callers comparing candidates at fixed
-    W may pass any constant for jd_sum (including 0). Used by the greedy
-    reassignment search, which re-scores many assignments per Y.
-    """
-    kotz = [kotz_from_psi(psi, int(d)) for d in assignment.subspace_dims]
-    jc_sum, jf_sum, je_sum, _ = _objective_terms(Y, assignment, kotz, dispersion, False)
-    f_const = sum(p.log_norm_const for p in kotz)
-    return float(-jd_sum + 0.5 * jc_sum - f_const - jf_sum + je_sum)
+                       psi: Sequence[float] = PSI_LAPLACE) -> float:
+    """Objective value less J_D from precomputed sources Y = W X: the sum of
+    subspace_value over the subspaces. J_D depends only on W, so candidates
+    at fixed W compare without it."""
+    N = Y.shape[1]
+    invariant = dispersion is DispersionChoice.SCALE_INVARIANT
+    return float(sum(_in_subspace(k, subspace_value, Y[assignment.sources(k)],
+                                  kotz_from_psi(psi, int(d)), N, invariant)
+                     for k, d in enumerate(assignment.subspace_dims)))
 
 
 def relative_gradient(grad: BlockTransform, W: BlockTransform) -> BlockTransform:

@@ -5,7 +5,6 @@ CRITERION n: PASS/FAIL line per test (see conftest.py).
 """
 
 import itertools
-import json
 import time
 from dataclasses import replace
 
@@ -22,9 +21,7 @@ from misa import (
     ObjectiveContext,
     OptimOptions,
     SimSpec,
-    SubspaceAssignment,
     build_instance,
-    config_from_dict,
     evaluate,
     gen_mixing,
     hungarian,

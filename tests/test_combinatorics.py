@@ -5,7 +5,7 @@ import pytest
 
 from misa import (
     BlockTransform,
-    MultiDataset,
+    DispersionChoice,
     OptimOptions,
     ShapeError,
     SimSpec,
@@ -22,6 +22,7 @@ from misa import (
 )
 from misa import combinatorics
 from misa.combinatorics import TIE_EPS, cost_value
+from misa.objective import value_from_sources
 
 OPTS = OptimOptions(tol_fun=1e-8)
 
@@ -154,6 +155,79 @@ class TestGp:
         out = gp(data, SubspaceAssignment.singletons([4]), W)
         assert np.all(np.asarray(out.P).sum(axis=0) == 1)
         assert np.all(np.asarray(out.P).sum(axis=1) >= 1)
+
+
+def reference_gp(data, P, W):
+    """The earlier gp, kept as the reference: every candidate is a full 0/1
+    matrix (the group moved to each existing row or to a fresh one) scored
+    over all subspaces; the argmin wins unless within TIE_EPS of the
+    incumbent."""
+    C = P.n_sources
+    Y = W.transform(data)
+
+    def score(Pmat):
+        sa = SubspaceAssignment(Pmat[Pmat.sum(axis=1) > 0], P.col_dims)
+        return value_from_sources(Y, sa, DispersionChoice.SCALE_INVARIANT)
+
+    Pcur = np.asarray(P.P).copy()
+    for c in range(C):
+        K = Pcur.shape[0]
+        kurrent = int(np.flatnonzero(Pcur[:, c])[0])
+        group = np.flatnonzero(Pcur[kurrent])
+        base = Pcur.copy()
+        base[:, group] = 0
+        vals = np.empty(K + 1)
+        for k in range(K + 1):
+            cand = np.vstack([base, np.zeros((1, C), dtype=base.dtype)]) if k == K else base.copy()
+            cand[k, group] = 1
+            vals[k] = score(cand)
+        k_best = int(np.argmin(vals))
+        if k_best != kurrent and abs(vals[k_best] - vals[kurrent]) < TIE_EPS:
+            k_best = kurrent
+        if k_best == K:
+            Pcur = np.vstack([base, np.zeros((1, C), dtype=base.dtype)])
+            Pcur[K, group] = 1
+        else:
+            Pcur = base
+            Pcur[k_best, group] = 1
+        Pcur = Pcur[Pcur.sum(axis=1) > 0]
+    return SubspaceAssignment(Pcur, P.col_dims)
+
+
+class TestGpMatchesReference:
+    """gp scores a merge by the one subspace it creates; it must pick the
+    same partition, in the same row order, as full rescoring."""
+
+    SHAPES = [[[1], [2], [3]], [[2], [1], [3], [2]], [[3], [1], [1], [2]]]
+
+    def cases(self):
+        for seed, dims in enumerate(self.SHAPES):
+            spec = SimSpec(subspace_dims=np.array(dims), dims_v=[int(np.sum(dims))],
+                           n_obs=2000, cond_target=2.0, rho_max=0.5, seed=seed)
+            data, truth, P = build_instance(spec)
+            C = P.n_sources
+            P0 = SubspaceAssignment.singletons([C])
+            rng = np.random.default_rng(seed)
+            W_true = BlockTransform([np.linalg.inv(truth.A.blocks[0])])
+            W_near = BlockTransform([(np.eye(C) + 0.1 * rng.standard_normal((C, C)))
+                                     @ W_true.blocks[0]])
+            W_rand = BlockTransform([random_row_orthonormal(C, C, rng)])
+            W0 = BlockTransform([random_row_orthonormal(C, C, rng)])
+            W_fit = run_misa(data, P0, W0, opts=OPTS).W_final
+            yield data, P0, W_rand
+            yield data, P, W_rand
+            yield data, P0, W_true
+            yield data, P, W_true
+            yield data, P0, W_near
+            yield data, P0, W_fit
+
+    def test_same_partition_as_full_rescoring(self):
+        n_moved = 0
+        for data, P, W in self.cases():
+            out = gp(data, P, W)
+            np.testing.assert_array_equal(out.P, reference_gp(data, P, W).P)
+            n_moved += out.n_subspaces != P.n_subspaces
+        assert n_moved >= 3  # the cases exercise merges, not only fixed points
 
 
 def partition(P):

@@ -317,12 +317,18 @@ class TestCli:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_threads_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MISA_THREADS", "2")
-        cfg = write_smoke_cfg(tmp_path)
-        out = tmp_path / "run"
-        rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
-        assert rc == 0
+    def test_experiment_threads_from_config_or_flag(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg.threads)
+            return [], {"good": True}
+
+        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        cfg = write_smoke_cfg(tmp_path, threads=2)
+        assert cli_main(["experiment", "--config", str(cfg)]) == 0
+        assert cli_main(["experiment", "--config", str(cfg), "--threads", "3"]) == 0
+        assert seen == [2, 3]
 
     def test_solve_gpca_unequal_source_counts_rejected(self, tmp_path):
         # gpca keeps C_1 rows per dataset, so unequal C_m cannot be reduced
