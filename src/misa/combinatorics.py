@@ -107,12 +107,11 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
     if data.n_datasets != 1:
         raise ShapeError("gp operates on a single dataset")
     Y = W.transform(data)
-    N = Y.shape[1]
 
     @functools.lru_cache(maxsize=None)
     def cost(group: Tuple[int, ...]) -> float:
         return obj.subspace_value(Y[list(group)], kotz_from_psi(psi, len(group)),
-                                  N, invariant=True)
+                                  invariant=True)
 
     groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
     for c in range(P.n_sources):
@@ -140,9 +139,10 @@ def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,
     """Numerically minimize the objective from W0, passing the relative
     gradient to the quasi-Newton solver."""
     ctx = obj.ObjectiveContext(data, P, dispersion=dispersion, psi=psi)
+    buffers = obj.Buffers(ctx)
 
     def fg(W: BlockTransform):
-        rep = obj.evaluate(ctx, W, with_gradient=True)
+        rep = obj.evaluate(ctx, W, with_gradient=True, buffers=buffers)
         return rep.value, obj.relative_gradient(rep.gradient, W)
 
     return opt.minimize(fg, W0, opts)

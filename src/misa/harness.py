@@ -281,8 +281,8 @@ def run_experiment(cfg: ExperimentConfig):
         rep_seqs = inst_seqs[i].spawn(cfg.replicates)
         rep_seeds = [int(s.generate_state(1)[0]) for s in rep_seqs]
         # threads = 1 stays on the calling thread: on a one-thread pool the
-        # iva1 benchmark workload took ~10x the page faults, 3x the system
-        # time and +10% peak RSS
+        # iva1 benchmark workload took +4% peak RSS and about twice the page
+        # faults
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
                 futs = [ex.submit(_run_replicate, cfg, work_data, data, P,

@@ -13,8 +13,79 @@ from misa import (
     random_row_orthonormal,
     relative_gradient,
 )
+from misa import DefinitenessError, ShapeError
 from misa.gradcheck import fd_gradient, max_rel_error
-from misa.objective import value_from_sources
+from misa.model import chol_pd, logdet_from_chol
+from misa.objective import Buffers, value_from_sources
+from scipy.linalg import cho_solve
+
+
+def reference_subspace_terms(Yk, pk, N, invariant, with_gradient):
+    """(J_C, J_F, J_E, dJ/dY_k or None) of one subspace, one at a time: the
+    per-subspace kernel the batched one replaced, kept as its reference."""
+    Z = Yk @ Yk.T
+    if invariant:
+        c = np.full(pk.d, np.sqrt((N - 1) * pk.alpha))
+    else:
+        c = np.sqrt(np.diag(Z))
+        if np.any(c <= 0):
+            raise DefinitenessError("zero-power source row")
+    cc = np.outer(c, c)
+    D = Z / cc
+    L = chol_pd(D, "dispersion")
+    Dinv = cho_solve((L, True), np.eye(pk.d), check_finite=False)
+    U = Dinv @ Yk
+    z = np.einsum("in,in->n", Yk, U)
+    if np.any(z <= 0):
+        raise DefinitenessError("nonpositive quadratic form")
+    jc = logdet_from_chol(L)
+    jf = (pk.eta - 1.0) / N * float(np.sum(np.log(z)))
+    je = pk.lamb / N * float(np.sum(z ** pk.beta))
+    if not with_gradient:
+        return jc, jf, je, None
+    Ut = U * ((2.0 * pk.beta * pk.lamb * z ** pk.beta + 2.0 * (1.0 - pk.eta)) / (N * z))
+    Q = 0.5 * (Dinv - Ut @ U.T)
+    QZ = 2.0 * Q / cc
+    if not invariant:
+        QZ[np.diag_indices(pk.d)] -= 2.0 * np.sum(Q * D, axis=1) / c ** 2
+    return jc, jf, je, Ut + QZ @ Yk
+
+
+def reference_evaluate(ctx, W):
+    """(value, gradient blocks) from the C x N sources and a loop over
+    reference_subspace_terms."""
+    Y = W.transform(ctx.data)
+    N = Y.shape[1]
+    invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
+    sums = np.zeros(3)
+    G_Y = np.zeros_like(Y)
+    for k, pk in enumerate(ctx.kotz):
+        idx = ctx.assignment.sources(k)
+        *terms, G_Y[idx] = reference_subspace_terms(Y[idx], pk, N, invariant, True)
+        sums += terms
+    jd = sum(j_d_term(Wm) for Wm in W.blocks)
+    value = -jd + 0.5 * sums[0] - ctx.f_constant - sums[1] + sums[2]
+    off = ctx.assignment.col_offsets
+    grads = [G_Y[off[m]:off[m + 1]] @ Xm.T - np.linalg.pinv(Wm).T
+             for m, (Wm, Xm) in enumerate(zip(W.blocks, ctx.data.blocks))]
+    return value, grads
+
+
+# K x M per-dataset dims with d in {1, 1, 2, 2, 3, 5}: stacks of two or
+# more members, and (M = 3) two stacks of one dimension
+REPEATED_DIMS = {
+    1: [[1], [1], [2], [2], [3], [5]],
+    2: [[1, 0], [1, 0], [1, 1], [1, 1], [2, 1], [3, 2]],
+    3: [[1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1], [2, 2, 1]],
+}
+
+
+def repeated_dims_instance(rng, M, N=500):
+    P = SubspaceAssignment.from_dataset_dims(np.array(REPEATED_DIMS[M]))
+    X = MultiDataset([rng.laplace(size=(C, N)) for C in P.col_dims])
+    W = BlockTransform([random_row_orthonormal(C, C, rng) + 0.1 * rng.standard_normal((C, C))
+                        for C in P.col_dims])
+    return X, P, W
 
 
 def small_instance(rng, M=2, C=4, N=400):
@@ -137,6 +208,85 @@ class TestValueProperties:
             v = evaluate(ctx, BlockTransform([Q @ Wt.blocks[0]])).value
             wins += v_true <= v
         assert wins >= 48  # >= 95%
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_matches_reference(self, mode, M):
+        rng = np.random.default_rng(20 + M)
+        X, P, W = repeated_dims_instance(rng, M)
+        ctx = ObjectiveContext(X, P, dispersion=mode)
+        rep = evaluate(ctx, W, with_gradient=True)
+        value, grads = reference_evaluate(ctx, W)
+        assert abs(rep.value - value) <= 1e-12 * abs(value)
+        for G, G_ref in zip(rep.gradient.blocks, grads):
+            assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+        assert evaluate(ctx, W).value == rep.value
+
+    def test_zero_power_row_names_its_subspace(self):
+        # subspaces 1 and 2 form one d = 2 stack; the first source of
+        # subspace 2 (column 3) reads the all-zero last data row
+        rng = np.random.default_rng(3)
+        Xm = rng.laplace(size=(6, 300))
+        Xm[5] = 0.0
+        P = SubspaceAssignment.from_dataset_dims(np.array([[1], [2], [2]]))
+        Wm = np.eye(5, 6)
+        Wm[3] = np.eye(6)[5]
+        ctx = ObjectiveContext(MultiDataset([Xm]), P,
+                               dispersion=DispersionChoice.SCALE_CONTROLLED)
+        with pytest.raises(DefinitenessError, match="subspace 2: zero-power source row"):
+            evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
+
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    def test_singular_dispersion_in_stack_takes_jitter(self, mode):
+        # the two sources of subspace 2 are the same data row, so its
+        # dispersion is singular and only chol_pd's jitter factors it
+        rng = np.random.default_rng(4)
+        Xm = rng.laplace(size=(6, 300))
+        Xm[5] = Xm[3]
+        P = SubspaceAssignment.from_dataset_dims(np.array([[1], [2], [2]]))
+        Wm = np.eye(5, 6)
+        Wm[4] = np.eye(6)[5]
+        ctx = ObjectiveContext(MultiDataset([Xm]), P, dispersion=mode)
+        Y = Wm @ Xm
+        D = Y[3:] @ Y[3:].T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(D / D[0, 0])
+        rep = evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
+        value, _ = reference_evaluate(ctx, BlockTransform([Wm]))
+        assert np.isfinite(rep.value)
+        assert all(np.all(np.isfinite(G)) for G in rep.gradient.blocks)
+        # the jittered dispersion has condition number ~1e12, so the two
+        # inverses differ by rounding magnified to ~1e-5 relative
+        assert rep.value == pytest.approx(value, rel=1e-4)
+
+
+class TestBuffers:
+    def test_reuse_matches_fresh_and_does_not_alias(self):
+        rng = np.random.default_rng(8)
+        X, P, W1 = repeated_dims_instance(rng, 3)
+        _, _, W2 = repeated_dims_instance(rng, 3)
+        ctx = ObjectiveContext(X, P)
+        buffers = Buffers(ctx)
+        reports = [evaluate(ctx, W, with_gradient=True, buffers=buffers)
+                   for W in (W1, W2, W1)]
+        first = [G.copy() for G in reports[0].gradient.blocks]
+        for rep, W in zip(reports, (W1, W2, W1)):
+            fresh = evaluate(ctx, W, with_gradient=True)
+            assert rep.value == fresh.value
+            assert rep.terms == fresh.terms
+            for G, G_fresh in zip(rep.gradient.blocks, fresh.gradient.blocks):
+                assert np.array_equal(G, G_fresh)
+        for G, G0 in zip(reports[0].gradient.blocks, first):
+            assert np.array_equal(G, G0)
+
+    def test_other_context_rejected(self):
+        rng = np.random.default_rng(9)
+        X, P, W = small_instance(rng)
+        buffers = Buffers(ObjectiveContext(X, P))
+        with pytest.raises(ShapeError):
+            evaluate(ObjectiveContext(X, P), W, buffers=buffers)
 
 
 class TestValueFromSources:
