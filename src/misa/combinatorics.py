@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,11 +108,13 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
     if data.n_datasets != 1:
         raise ShapeError("gp operates on a single dataset")
     Y = W.transform(data)
+    YY = Y @ Y.T
 
     @functools.lru_cache(maxsize=None)
     def cost(group: Tuple[int, ...]) -> float:
-        return obj.subspace_value(Y[list(group)], kotz_from_psi(psi, len(group)),
-                                  invariant=True)
+        g = list(group)
+        return obj.subspace_value(Y[g], YY[np.ix_(g, g)],
+                                  kotz_from_psi(psi, len(g)), invariant=True)
 
     groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
     for c in range(P.n_sources):
@@ -231,13 +234,16 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
     return BlockTransform([W.blocks[m][best_orders[m]] for m in range(M)])
 
 
-def _pick_best(sols: List[opt.Solution], Ws: List[BlockTransform],
-               vals: List[float]) -> opt.Solution:
-    ix = int(np.argmin(vals))
-    chosen = sols[min(ix, len(sols) - 1)]
-    return opt.Solution(W_final=Ws[ix], objective_value=float(vals[ix]),
-                        status=chosen.status, trace=chosen.trace,
-                        n_iters=chosen.n_iters, n_evals=chosen.n_evals)
+def _pick_best(sols: List[opt.Solution], vals: List[float]) -> opt.Solution:
+    """The stored candidate with the lowest score, reported with that score.
+    A later candidate displaces the kept one only when lower by more than
+    TIE_EPS relative: final values of separate solves agree only to about
+    the solver's relative tolerance, so a smaller gap is a tie."""
+    ix = 0
+    for i, v in enumerate(vals):
+        if v < vals[ix] - TIE_EPS * (1.0 + abs(vals[ix])):
+            ix = i
+    return replace(sols[ix], objective_value=float(vals[ix]))
 
 
 def misa_gp_sdm(data: MultiDataset, P_ud: SubspaceAssignment,
@@ -250,7 +256,6 @@ def misa_gp_sdm(data: MultiDataset, P_ud: SubspaceAssignment,
     if data.n_datasets != 1:
         raise ShapeError("single-dataset driver")
     sol0 = run_misa(data, P_ud, W0, opts=opts, psi=psi)
-    Ws = [sol0.W_final]
     vals = [sol0.objective_value]
     sols = [sol0]
     W = sol0.W_final
@@ -262,12 +267,11 @@ def misa_gp_sdm(data: MultiDataset, P_ud: SubspaceAssignment,
         W = BlockTransform([sol_u.W_final.blocks[0][order]])
         sol_t = run_misa(data, P_ud, W, opts=opts, psi=psi)
         W = sol_t.W_final
-        Ws.append(W)
         vals.append(sol_t.objective_value)
         sols.append(sol_t)
         if abs(vals[t] - vals[t - 1]) < TIE_EPS:
             break
-    return _pick_best(sols, Ws, vals)
+    return _pick_best(sols, vals)
 
 
 def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
@@ -276,15 +280,11 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
                 opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
     """Multi-dataset driver: per-dataset unidimensional refinement + greedy
     reassignment + matching, cross-dataset subspace realignment, then joint
-    re-optimization; best stored candidate wins.
-
-    Note: candidates after the first are scored with the scale-invariant
-    cost while the first carries the scale-controlled optimum, mirroring the
-    mixed convention of the source procedure.
+    re-optimization; best stored candidate wins. Every candidate, the first
+    included, is scored with the scale-invariant cost_value.
     """
     sol0 = run_misa(data, P_ud, W0, opts=opts, psi=psi)
-    Ws = [sol0.W_final]
-    vals = [sol0.objective_value]
+    vals = [cost_value(data, P_ud, sol0.W_final, psi=psi)]
     sols = [sol0]
     W = sol0.W_final
     off = P_ud.col_offsets
@@ -303,9 +303,8 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
         W = subspace_perm(data, P_ud, BlockTransform(blocks), psi=psi)
         sol_t = run_misa(data, P_ud, W, opts=opts, psi=psi)
         W = sol_t.W_final
-        Ws.append(W)
         vals.append(cost_value(data, P_ud, W, psi=psi))
         sols.append(sol_t)
         if t >= 2 and abs(vals[t] - vals[t - 1]) < TIE_EPS:
             break
-    return _pick_best(sols, Ws, vals)
+    return _pick_best(sols, vals)

@@ -66,8 +66,10 @@ def audit_objective(seed: int = 0, n_instances: int = 5,
         X, P, W = random_instance(rng, M=M)
         for mode in DispersionChoice:
             ctx = obj.ObjectiveContext(X, P, dispersion=mode)
-            rep = obj.evaluate(ctx, W, with_gradient=True)
-            num = fd_gradient(lambda Wt: obj.evaluate(ctx, Wt).value, W, step)
+            buffers = obj.Buffers(ctx)
+            rep = obj.evaluate(ctx, W, with_gradient=True, buffers=buffers)
+            num = fd_gradient(lambda Wt: obj.evaluate(ctx, Wt, buffers=buffers).value,
+                              W, step)
             worst[mode.value] = max(worst[mode.value],
                                     max_rel_error(rep.gradient, num))
     return worst

@@ -21,23 +21,40 @@ PSI_GAUSS = (1.0, 0.5, 1.0)
 PSI_LAPLACE = (0.5, 1.0, 1.0)
 
 
+PIVOT_RTOL = 1e3 * np.finfo(float).eps
+
+
+def singular_pivots(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Whether the Cholesky factor L of D (one matrix or a stack) has a
+    squared pivot within PIVOT_RTOL of the mean diagonal of D: D is then
+    singular to working precision, though rounding may leave it barely
+    positive definite (as for a dispersion of two identical sources)."""
+    d = D.shape[-1]
+    pivots = np.diagonal(L, axis1=-2, axis2=-1)
+    floor = PIVOT_RTOL / d * np.trace(D, axis1=-2, axis2=-1)
+    return np.min(pivots, axis=-1) ** 2 <= floor
+
+
 def chol_pd(D: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Cholesky factor of a matrix required to be positive definite.
 
-    One relative jitter of 1e-12*trace(D)/d is added on failure; a second
-    failure raises. Near-singular sample covariances early in optimization
-    motivate the single retry.
+    One relative jitter of 1e-12*trace(D)/d is added when the factorization
+    fails or has singular_pivots; a second failure raises. Near-singular
+    sample covariances early in optimization motivate the single retry.
     """
     D = np.asarray(D, dtype=float)
     try:
-        return np.linalg.cholesky(D)
+        L = np.linalg.cholesky(D)
+        if not singular_pivots(L, D):
+            return L
     except np.linalg.LinAlgError:
-        d = D.shape[0]
-        jitter = 1e-12 * np.trace(D) / d
-        try:
-            return np.linalg.cholesky(D + jitter * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise DefinitenessError(f"{what} is not positive definite") from None
+        pass
+    d = D.shape[0]
+    jitter = 1e-12 * np.trace(D) / d
+    try:
+        return np.linalg.cholesky(D + jitter * np.eye(d))
+    except np.linalg.LinAlgError:
+        raise DefinitenessError(f"{what} is not positive definite") from None
 
 
 def logdet_from_chol(L: np.ndarray) -> float:

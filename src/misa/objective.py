@@ -4,9 +4,11 @@ Both dispersion modes are supported: scale-invariant (dispersion tied to the
 sample covariance, objective blind to per-source rescaling) and
 scale-controlled (dispersion tied to the sample correlation, model variances
 pinned at alpha_k). Subspaces with the same per-dataset dimensions are
-evaluated together as one (n, d, N) stack; gradients are assembled in source
-space and mapped back to each dataset block. The relative-gradient transform
-used by the solvers is also provided here.
+evaluated together as one (n, d, N) stack. The dispersions and the
+dispersion part of the gradient come from the R factor of the data, formed
+once per solve; the rest of the gradient is mapped from source space back
+to each dataset block. The relative-gradient transform used by the solvers
+is also provided here.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (
     SubspaceAssignment,
     chol_pd,
     kotz_from_psi,
+    singular_pivots,
 )
 
 RANK_RTOL = 1e3 * np.finfo(float).eps
@@ -93,17 +96,18 @@ class ObjectiveReport:
     gradient: Optional[BlockTransform] = None
 
 
-def _stack_terms(S: np.ndarray, pk: KotzParams, invariant: bool, ks,
-                 U: np.ndarray, z: np.ndarray, w: np.ndarray,
-                 T: Optional[np.ndarray] = None):
-    """Per-member (J_C, J_F, J_E) of a stack S (n, d, N) of subspaces that
-    share d and pk; when T is given, dJ/dS is also written to U.
+def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
+                 ks, U: np.ndarray, z: np.ndarray, w: np.ndarray,
+                 gradient: bool = False):
+    """Per-member (J_C, J_F, J_E, QZ) of a stack S (n, d, N) of subspaces
+    that share d and pk, given Z = S S^T (n, d, d).
 
-    Member i's dispersion is D_i = Z_i / (c_i c_i^T) with Z_i = S_i S_i^T:
-    c = sqrt((N-1) alpha) when scale-invariant (D = alpha^-1 * sample
-    covariance), c = sqrt(diag Z) when scale-controlled (D = sample
-    correlation). J_C is ln det D and z_n = y_n^T D^-1 y_n. Each D is factored
-    and inverted once; the gradient is that of 0.5 J_C - J_F + J_E. U and T
+    Member i's dispersion is D_i = Z_i / (c_i c_i^T): c = sqrt((N-1) alpha)
+    when scale-invariant (D = alpha^-1 * sample covariance), c = sqrt(diag Z)
+    when scale-controlled (D = sample correlation). J_C is ln det D and
+    z_n = y_n^T D^-1 y_n. Each D is factored and inverted once. With gradient,
+    dJ/dS of 0.5 J_C - J_F + J_E is U + QZ S: U is overwritten with the part
+    at fixed dispersion and QZ (n, d, d) is returned; else QZ is None. U
     (n, d, N), z and w (n, N) are scratch. Errors name member i as subspace
     ks[i] (unnamed when ks is None).
     """
@@ -112,7 +116,6 @@ def _stack_terms(S: np.ndarray, pk: KotzParams, invariant: bool, ks,
     def fail(i, what):
         raise DefinitenessError(what if ks is None else f"subspace {ks[i]}: {what}") from None
 
-    Z = S @ S.transpose(0, 2, 1)
     if invariant:
         c = np.full((n, d), np.sqrt((N - 1) * pk.alpha))
     else:
@@ -124,14 +127,15 @@ def _stack_terms(S: np.ndarray, pk: KotzParams, invariant: bool, ks,
     D = Z / cc
     try:
         L = np.linalg.cholesky(D)
+        retry = np.flatnonzero(singular_pivots(L, D))
     except np.linalg.LinAlgError:
-        # chol_pd's jitter retry applies per member
-        L = np.empty_like(D)
-        for i in range(n):
-            try:
-                L[i] = chol_pd(D[i], "dispersion")
-            except DefinitenessError as e:
-                fail(i, str(e))
+        L, retry = np.empty_like(D), range(n)
+    # chol_pd's jitter retry applies per member
+    for i in retry:
+        try:
+            L[i] = chol_pd(D[i], "dispersion")
+        except DefinitenessError as e:
+            fail(i, str(e))
     Linv = np.linalg.inv(L)
     Dinv = Linv.transpose(0, 2, 1) @ Linv
     np.matmul(Dinv, S, out=U)
@@ -140,39 +144,43 @@ def _stack_terms(S: np.ndarray, pk: KotzParams, invariant: bool, ks,
     if bad.any():
         fail(int(np.argmax(bad)), "nonpositive quadratic form")
     jc = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-    jf = (pk.eta - 1.0) / N * np.log(z, out=w).sum(axis=1)
-    je = pk.lamb / N * np.power(z, pk.beta, out=w).sum(axis=1)
-    if T is None:
-        return jc, jf, je
-    # at fixed D: dJ/dy_n = t_n D^-1 y_n with t_n in w; Q = dJ/dD
+    # eta = 1 makes J_F exactly 0 (as in model.kotz_log_pdf)
+    jf = np.zeros(n) if pk.eta == 1.0 else (pk.eta - 1.0) / N * np.log(z, out=w).sum(axis=1)
+    zb = np.sqrt(z, out=w) if pk.beta == 0.5 else np.power(z, pk.beta, out=w)
+    je = pk.lamb / N * zb.sum(axis=1)
+    if not gradient:
+        return jc, jf, je, None
+    # at fixed D: dJ/dy_n = t_n D^-1 y_n with t_n in w, written over U
     w *= 2.0 * pk.beta * pk.lamb
     w += 2.0 * (1.0 - pk.eta)
     z *= N
     w /= z
-    np.multiply(U, w[:, None, :], out=T)
-    Q = 0.5 * (Dinv - T @ U.transpose(0, 2, 1))
+    U *= w[:, None, :]
+    # Q = dJ/dD = 0.5 (D^-1 - U (D^-1 S)^T), and U (D^-1 S)^T = (U S^T) D^-1
+    Q = 0.5 * (Dinv - (U @ S.transpose(0, 2, 1)) @ Dinv)
     QZ = 2.0 * Q / cc
     if not invariant:
         # c = sqrt(diag Z) moves with S too
         QZ[:, np.arange(d), np.arange(d)] -= 2.0 * np.sum(Q * D, axis=2) / c ** 2
-    np.matmul(QZ, S, out=U)
-    U += T
-    return jc, jf, je
+    return jc, jf, je, QZ
 
 
-def _shares(S: np.ndarray, pk: KotzParams, invariant: bool, ks) -> np.ndarray:
+def _shares(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
+            ks) -> np.ndarray:
     """Per-member 0.5 J_C - J_F + J_E minus the Kotz log normalizer."""
     n, _, N = S.shape
-    jc, jf, je = _stack_terms(S, pk, invariant, ks, np.empty_like(S),
-                              np.empty((n, N)), np.empty((n, N)))
+    jc, jf, je, _ = _stack_terms(S, Z, pk, invariant, ks, np.empty_like(S),
+                                 np.empty((n, N)), np.empty((n, N)))
     return 0.5 * jc - jf + je - pk.log_norm_const
 
 
-def subspace_value(Yk: np.ndarray, pk: KotzParams, invariant: bool) -> float:
-    """One subspace's share of the objective, 0.5 J_C - J_F + J_E minus its
-    Kotz log normalizer. The objective is the sum of these less J_D, so a
-    change of assignment at fixed W moves only the shares it touches."""
-    return float(_shares(Yk[None], pk, invariant, None)[0])
+def subspace_value(Yk: np.ndarray, Zk: np.ndarray, pk: KotzParams,
+                   invariant: bool) -> float:
+    """One subspace's share of the objective from its sources Yk and
+    Zk = Yk Yk^T: 0.5 J_C - J_F + J_E minus its Kotz log normalizer. The
+    objective is the sum of these less J_D, so a change of assignment at
+    fixed W moves only the shares it touches."""
+    return float(_shares(Yk[None], Zk[None], pk, invariant, None)[0])
 
 
 @dataclass
@@ -181,17 +189,23 @@ class _Stack:
 
     ks: list
     pk: KotzParams
-    # (dataset m, W_m rows, view of S they produce, view of dJ/dS in U)
+    cols: np.ndarray  # (n, d) source indices of the members
+    # (dataset m, W_m rows, view of S they produce, view of it in U)
     products: list
     S: np.ndarray  # (n, d, N) sources
-    U: np.ndarray  # (n, d, N) D^-1 S, then dJ/dS
-    T: np.ndarray  # (n, d, N) D^-1 S scaled per observation
+    U: np.ndarray  # (n, d, N) D^-1 S, then dJ/dS at fixed dispersion
     z: np.ndarray  # (n, N)
     w: np.ndarray  # (n, N)
 
 
 class Buffers:
-    """The N-sized scratch of evaluate, allocated once per solve.
+    """The per-solve state of evaluate: the R factor of the data and the
+    N-sized scratch.
+
+    With X = X_1..X_M stacked (V x N) and X^T = Q R (R is V x V when
+    N >= V), the sources Y = blockdiag(W) X are M Q^T with
+    M = blockdiag(W) R^T. So Y Y^T = M M^T and Y X^T = M R: the dispersions
+    and the dispersion part of the gradient need no N-sized product.
 
     Subspaces with the same per-dataset dimensions and KotzParams form one
     stack, so position p of every member lies in the same dataset: a stack
@@ -201,10 +215,18 @@ class Buffers:
     """
 
     def __init__(self, ctx: ObjectiveContext):
+        from scipy.linalg import qr
+
         P = ctx.assignment
         off = np.asarray(P.col_offsets)
         d_km = P.per_dataset_dims()
         N = ctx.data.n_obs
+        # F-ordered X^T, factored in place: one V x N copy of the data
+        R = qr(np.vstack(ctx.data.blocks).T, mode="raw", overwrite_a=True,
+               check_finite=False)[1]
+        v_off = np.cumsum([0] + [Xm.shape[0] for Xm in ctx.data.blocks])
+        self.R_blocks = [np.ascontiguousarray(R[:, a:b])
+                         for a, b in zip(v_off[:-1], v_off[1:])]
         members = {}
         for k, pk in enumerate(ctx.kotz):
             members.setdefault((tuple(d_km[k]), pk), []).append(k)
@@ -214,7 +236,7 @@ class Buffers:
             cols = np.array([P.sources(k) for k in ks])  # (n, d), ascending
             datasets = np.searchsorted(off, cols[0], side="right") - 1
             n, d = cols.shape
-            S, U, T = (np.empty((n, d, N)) for _ in range(3))
+            S, U = np.empty((n, d, N)), np.empty((n, d, N))
             if np.all(datasets == datasets[0]):
                 m = int(datasets[0])
                 products = [(m, cols.ravel() - off[m], S.reshape(n * d, N),
@@ -222,8 +244,13 @@ class Buffers:
             else:
                 products = [(int(m), cols[:, p] - off[m], S[:, p], U[:, p])
                             for p, m in enumerate(datasets)]
-            self.stacks.append(_Stack(ks, pk, products, S, U, T,
+            self.stacks.append(_Stack(ks, pk, cols, products, S, U,
                                       np.empty((n, N)), np.empty((n, N))))
+
+
+def _gram_blocks(YY: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (n, d, d) diagonal blocks YY[cols_i, cols_i] of Y Y^T."""
+    return YY[cols[:, :, None], cols[:, None, :]]
 
 
 def evaluate(ctx: ObjectiveContext, W: BlockTransform,
@@ -232,7 +259,7 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     """Objective value (and gradient on request) at the unmixing W.
 
     The calls of one solve share buffers = Buffers(ctx); without it each
-    call allocates its own.
+    call factors the data and allocates its own.
     """
     W.check_unmixing(ctx.data, ctx.assignment)
     if buffers is None:
@@ -242,16 +269,28 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     jd, pinv_t = zip(*(_svd_terms(Wm) for Wm in W.blocks))
     X = ctx.data.blocks
     invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
+    M = np.vstack([Wm @ Rm.T for Wm, Rm in zip(W.blocks, buffers.R_blocks)])
+    YY = M @ M.T
     per_k = np.empty((3, ctx.assignment.n_subspaces))
-    grads = [-Pm for Pm in pinv_t] if with_gradient else None
+    if with_gradient:
+        grads = [-Pm for Pm in pinv_t]
+        H = np.empty_like(M)  # QZ M, subspace by subspace
     for st in buffers.stacks:
         for m, rows, S_view, _ in st.products:
             np.matmul(W.blocks[m][rows], X[m], out=S_view)
-        per_k[:, st.ks] = _stack_terms(st.S, st.pk, invariant, st.ks, st.U, st.z,
-                                       st.w, st.T if with_gradient else None)
+        jc, jf, je, QZ = _stack_terms(st.S, _gram_blocks(YY, st.cols), st.pk,
+                                      invariant, st.ks, st.U, st.z, st.w,
+                                      with_gradient)
+        per_k[:, st.ks] = jc, jf, je
         if with_gradient:
+            H[st.cols] = QZ @ M[st.cols]
             for m, rows, _, G_view in st.products:
                 grads[m][rows] += G_view @ X[m].T
+    if with_gradient:
+        # QZ S X_m^T = (QZ M R)[rows of dataset m, columns of R_m]
+        off = ctx.assignment.col_offsets
+        for m, Rm in enumerate(buffers.R_blocks):
+            grads[m] += H[off[m]:off[m + 1]] @ Rm
 
     jd_sum = sum(jd)
     jc_sum, jf_sum, je_sum = (sum(t) for t in per_k.tolist())  # in k order
@@ -267,15 +306,18 @@ def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
                        dispersion: DispersionChoice,
                        psi: Sequence[float] = PSI_LAPLACE) -> float:
     """Objective value less J_D from precomputed sources Y = W X: the sum of
-    subspace_value over the subspaces, one stack per dimension. J_D depends
-    only on W, so candidates at fixed W compare without it."""
+    subspace_value over the subspaces, one stack per dimension, with every
+    Z sliced from one Y Y^T. J_D depends only on W, so candidates at fixed W
+    compare without it."""
     invariant = dispersion is DispersionChoice.SCALE_INVARIANT
     dims = assignment.subspace_dims
+    YY = Y @ Y.T
     shares = np.empty(len(dims))
     for d in np.unique(dims):
         ks = np.flatnonzero(dims == d)
-        S = Y[np.array([assignment.sources(k) for k in ks])]
-        shares[ks] = _shares(S, kotz_from_psi(psi, int(d)), invariant, ks)
+        cols = np.array([assignment.sources(k) for k in ks])
+        shares[ks] = _shares(Y[cols], _gram_blocks(YY, cols),
+                             kotz_from_psi(psi, int(d)), invariant, ks)
     return float(sum(shares.tolist()))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DefinitenessError, DomainError, RankError
 from .model import BlockTransform
 
 WOLFE_C1 = 1e-4
@@ -125,7 +125,9 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
     Terminates when |df| < tol_fun*(1+|f|), when the accepted step has
     ||dW||_inf < tol_x, or at the iteration/evaluation caps. A line search
     that cannot satisfy the Wolfe conditions after the bisection budget ends
-    the run with LineSearchFail rather than raising.
+    the run with LineSearchFail rather than raising. A RankError or
+    DefinitenessError at a trial point counts as f = +inf there; at W0 it
+    propagates.
     """
     opts = opts or OptimOptions()
     flat = _Flat(W0)
@@ -174,20 +176,24 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
         fa, ga, xa = f, g, x
         for _ in range(MAX_BISECTIONS):
             xa = project(x + a * d)
-            fa, ga = fg(xa)
-            ga_d = dphi(ga, xa, d)
-            armijo = fa <= f + WOLFE_C1 * a * g0d
-            if armijo and (best is None or fa < best[1]):
-                best = (a, fa, ga, xa)
-            if not armijo:
-                a_hi = a  # step too long
-            elif ga_d < WOLFE_C2 * g0d:
-                a_lo = a  # slope still steeply negative: step too short
-            elif ga_d > -WOLFE_C2 * g0d:
-                a_hi = a  # overshot past the minimum along d
+            try:
+                fa, ga = fg(xa)
+            except (RankError, DefinitenessError):
+                # undefined at the trial point: f = +inf, so the step halves
+                fa, ga = np.inf, None
+            if not fa <= f + WOLFE_C1 * a * g0d:
+                a_hi = a  # Armijo fails: step too long
             else:
-                ok = True
-                break
+                if best is None or fa < best[1]:
+                    best = (a, fa, ga, xa)
+                ga_d = dphi(ga, xa, d)
+                if ga_d < WOLFE_C2 * g0d:
+                    a_lo = a  # slope still steeply negative: step too short
+                elif ga_d > -WOLFE_C2 * g0d:
+                    a_hi = a  # overshot past the minimum along d
+                else:
+                    ok = True
+                    break
             a = 0.5 * (a_lo + a_hi) if np.isfinite(a_hi) else 2.0 * a
             if evals[0] >= opts.max_fun_evals:
                 break

@@ -23,6 +23,7 @@ from misa import (
 from misa import combinatorics
 from misa.combinatorics import TIE_EPS, cost_value
 from misa.objective import value_from_sources
+from misa.optimizer import Solution, Status
 
 OPTS = OptimOptions(tol_fun=1e-8)
 
@@ -282,6 +283,34 @@ class TestDrivers:
         # convention; final unmixings must agree
         np.testing.assert_allclose(sol_m.W_final.blocks[0], sol_s.W_final.blocks[0],
                                    atol=1e-6)
+
+    def test_mdm_scores_every_candidate_with_cost_value(self, monkeypatch):
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
+                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
+        data, truth, P = build_instance(spec)
+        rng = np.random.default_rng(2)
+        W0 = BlockTransform([random_row_orthonormal(3, 3, rng) for _ in range(2)])
+        seen = []
+
+        def pick_best(sols, vals):
+            seen.append((list(sols), list(vals)))
+            return pick_best.original(sols, vals)
+
+        pick_best.original = combinatorics._pick_best
+        monkeypatch.setattr(combinatorics, "_pick_best", pick_best)
+        sol = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+        (sols, vals), = seen
+        assert len(vals) >= 2
+        assert vals == [cost_value(data, P, s.W_final) for s in sols]
+        assert sol.objective_value in vals
+
+    def test_pick_best_keeps_earliest_of_tied_candidates(self):
+        sols = [Solution(W_final=i, objective_value=0.0, status=Status.CONVERGED_FUN,
+                         trace=[], n_iters=0, n_evals=0) for i in range(3)]
+        # 9.0 + 4e-8 ties 9.0 (within TIE_EPS relative); 8.9 beats both
+        assert combinatorics._pick_best(sols[:2], [9.0 + 4e-8, 9.0]).W_final == 0
+        best = combinatorics._pick_best(sols, [9.0 + 4e-8, 9.0, 8.9])
+        assert (best.W_final, best.objective_value) == (2, 8.9)
 
 
 class TestSubspacePerm:

@@ -261,8 +261,39 @@ class TestBatchedKernel:
         # inverses differ by rounding magnified to ~1e-5 relative
         assert rep.value == pytest.approx(value, rel=1e-4)
 
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    def test_ill_conditioned_data_matches_reference(self, mode):
+        # cond(A_m) = 1e6 and W near A^-1: the sources are well conditioned,
+        # the data X_m = A_m Y_m are not. A Gram matrix X X^T in place of the
+        # R factor squares cond(X) and misses this bound
+        from misa.simgen import gen_mixing
+        rng = np.random.default_rng(12)
+        P = SubspaceAssignment.from_dataset_dims(np.array(REPEATED_DIMS[2]))
+        N = 2000
+        A = [gen_mixing(C, C, 1e6, rng) for C in P.col_dims]
+        X = MultiDataset([Am @ rng.laplace(size=(Am.shape[1], N)) for Am in A])
+        W = BlockTransform([(np.eye(C) + 0.01 * rng.standard_normal((C, C))) @ np.linalg.inv(Am)
+                            for C, Am in zip(P.col_dims, A)])
+        ctx = ObjectiveContext(X, P, dispersion=mode)
+        rep = evaluate(ctx, W, with_gradient=True)
+        value, grads = reference_evaluate(ctx, W)
+        assert abs(rep.value - value) <= 1e-10 * abs(value)
+        for G, G_ref in zip(rep.gradient.blocks, grads):
+            assert np.max(np.abs(G - G_ref)) <= 1e-10 * np.max(np.abs(G_ref))
+
 
 class TestBuffers:
+    def test_no_scratch_beyond_sources_and_gradient(self):
+        # per stack: the sources S and one (n, d, N) array that holds D^-1 S
+        # and then dJ/dS at fixed dispersion; the gradient needs no third
+        rng = np.random.default_rng(8)
+        X, P, _ = repeated_dims_instance(rng, 3)
+        N = X.n_obs
+        for st in Buffers(ObjectiveContext(X, P)).stacks:
+            big = [a for a in vars(st).values()
+                   if isinstance(a, np.ndarray) and a.ndim == 3 and a.shape[-1] == N]
+            assert [a.shape for a in big] == [st.S.shape] * 2
+
     def test_reuse_matches_fresh_and_does_not_alias(self):
         rng = np.random.default_rng(8)
         X, P, W1 = repeated_dims_instance(rng, 3)

@@ -3,6 +3,7 @@ import pytest
 
 from misa import (
     BlockTransform,
+    DefinitenessError,
     DomainError,
     OptimOptions,
     Status,
@@ -102,6 +103,34 @@ class TestMinimize:
                        OptimOptions(tol_fun=1e-16, tol_x=1e-16, max_iters=3))
         assert sol.status in (Status.MAX_ITER, Status.LINE_SEARCH_FAIL)
         assert sol.n_iters <= 3
+
+
+class TestUndefinedTrialPoint:
+    @staticmethod
+    def huber_inside(radius, calls):
+        # pseudo-Huber with its minimum at 1, undefined outside |w| <= radius;
+        # its flat slope makes the secant steps overshoot
+        def fg(W):
+            w = W.blocks[0].ravel()
+            calls.append(bool(np.any(np.abs(w) > radius)))
+            if calls[-1]:
+                raise DefinitenessError("outside the radius")
+            r = np.sqrt(1.0 + (w - 1.0) ** 2)
+            return float(np.sum(r)), vec((w - 1.0) / r)
+
+        return fg
+
+    def test_error_at_trial_point_backtracks(self):
+        calls = []
+        sol = minimize(self.huber_inside(4.0, calls), vec([-3.0, 0.5]),
+                       OptimOptions(tol_fun=1e-12))
+        assert any(calls)  # a trial point did raise
+        assert sol.status is Status.CONVERGED_FUN
+        assert np.allclose(sol.W_final.blocks[0], 1.0, atol=1e-4)
+
+    def test_error_at_start_propagates(self):
+        with pytest.raises(DefinitenessError):
+            minimize(self.huber_inside(4.0, []), vec([5.0, 0.0]))
 
 
 class TestTwoLoop:
