@@ -81,7 +81,7 @@ def _load_instance(path):
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     data, P, A, _ = _load_instance(args.data)
-    work, B = harness.reduce_instance(cfg, data, P, cfg.seed)
+    work, B = harness.reduce_instance(cfg, data, P)
     sol, W_total = harness.solve_instance(cfg, work, P, B, cfg.seed)
 
     out = Path(args.out)

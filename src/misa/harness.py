@@ -6,8 +6,9 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,15 +22,6 @@ from .errors import ConfigError, MisaError
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from .simgen import SimSpec, build_instance
 
-_SIM_KEYS = {"subspace_dims", "dims_v", "n_obs", "cond_target", "snr_db",
-             "rho_max", "family", "copula_draws", "ar_rho", "seed"}
-_TOP_KEYS = {"experiment", "sim", "reduce", "solver", "dispersion", "T",
-             "optim", "precision_b", "instances", "replicates", "seed",
-             "out_dir", "threads"}
-_OPTIM_KEYS = {"lower", "upper", "typical_x", "max_fun_evals", "max_iters",
-               "lbfgs_memory", "tol_fun", "tol_x"}
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str = "custom"
@@ -39,7 +31,6 @@ class ExperimentConfig:
     dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED
     T: int = 2
     optim: opt.OptimOptions = field(default_factory=opt.OptimOptions)
-    precision_b: float = 80.0
     instances: int = 1
     replicates: int = 1
     seed: int = 0
@@ -55,6 +46,17 @@ class ExperimentConfig:
             raise ConfigError("instances and replicates must be >= 1")
         if self.sim is None:
             raise ConfigError("config needs a sim section or a preset experiment id")
+
+
+def _keys(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+_TOP_KEYS = _keys(ExperimentConfig)
+_SIM_KEYS = _keys(SimSpec)
+_OPTIM_KEYS = _keys(opt.OptimOptions)
+# keys copied as given; the others are parsed into their own types
+_SCALAR_KEYS = _TOP_KEYS - {"experiment", "sim", "optim", "dispersion"}
 
 
 def _parse_snr(v):
@@ -99,10 +101,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             kw["dispersion"] = DispersionChoice(d["dispersion"])
         except ValueError:
             raise ConfigError(f"unknown dispersion {d['dispersion']!r}") from None
-    for key in ("reduce", "solver", "T", "precision_b", "instances",
-                "replicates", "seed", "out_dir", "threads"):
-        if key in d:
-            kw[key] = d[key]
+    kw.update((key, d[key]) for key in _SCALAR_KEYS & set(d))
     merged = {**base.__dict__, **kw, "experiment": exp_id}
     return ExperimentConfig(**merged)
 
@@ -203,12 +202,11 @@ def _mmse_applicable(P: SubspaceAssignment) -> bool:
 
 
 def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
-                    P: SubspaceAssignment, seed: int):
+                    P: SubspaceAssignment):
     """Apply cfg.reduce; returns (work_data, B) with work_data_m = B_m X_m,
-    or (data, None) without reduction. PRE starts from seed + 1."""
+    or (data, None) without reduction."""
     if cfg.reduce == "pre":
-        red = reduction.reduce_data(data, P.col_dims, options=cfg.optim,
-                                    seed=seed + 1, precision_b=cfg.precision_b)
+        red = reduction.reduce_data(data, P.col_dims)
         return red.reduced, red.B_star
     if cfg.reduce == "gpca":
         if len(set(P.col_dims)) != 1:
@@ -276,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig):
         sim = replace(cfg.sim, seed=inst_seed)
         data, truth, P = build_instance(sim)
 
-        work_data, B = reduce_instance(cfg, data, P, inst_seed)
+        work_data, B = reduce_instance(cfg, data, P)
 
         rep_seqs = inst_seqs[i].spawn(cfg.replicates)
         rep_seeds = [int(s.generate_state(1)[0]) for s in rep_seqs]
@@ -301,7 +299,8 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def summarize(cfg: ExperimentConfig, records: List[RunRecord]) -> dict:
-    """Median over instances of the best (minimum) MISI across replicates."""
+    """Median over instances of the best (minimum) MISI across replicates,
+    and how many records ended in each status."""
     best = []
     for i in range(cfg.instances):
         vals = [r.misi for r in records if r.instance == i and np.isfinite(r.misi)]
@@ -317,6 +316,7 @@ def summarize(cfg: ExperimentConfig, records: List[RunRecord]) -> dict:
         "median_best_misi": med,
         "good": bool(np.isfinite(med) and med < metrics.MISI_GOOD),
         "excellent": bool(np.isfinite(med) and med < metrics.MISI_EXCELLENT),
+        "status_counts": dict(sorted(Counter(r.status for r in records).items())),
     }
 
 

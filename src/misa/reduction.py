@@ -1,20 +1,19 @@
 """Reconstruction-error machinery for data reduction.
 
 PRE is the proportion of data power missed by the projector W^- W.
-reduce_data minimizes PRE per dataset to find the reduction transform B*,
-and gpca_init provides the group-PCA alternative over the concatenated
-datasets.
+reduce_data finds the PRE-minimizing reduction transform B* per dataset in
+closed form, and gpca_init provides the group-PCA alternative over the
+concatenated datasets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import DomainError, RankError, ShapeError
-from . import optimizer as opt
 from .model import BlockTransform, MultiDataset
 from .objective import RANK_RTOL
 
@@ -71,18 +70,18 @@ class ReductionResult:
     B_star: BlockTransform
     reduced: MultiDataset
     final_error: List[float]
+    # always 0 per dataset (the reduction is closed form); kept because the
+    # benchmark tracer in perfbench/tracer.py reads it
     iterations: List[int]
-    statuses: List[opt.Status]
 
 
-def reduce_data(X: MultiDataset, target_dims: Sequence[int],
-                options: Optional[opt.OptimOptions] = None,
-                seed: int = 0, precision_b: float = 80.0) -> ReductionResult:
-    """Minimize PRE per dataset from a random row-orthonormal start.
+def reduce_data(X: MultiDataset, target_dims: Sequence[int]) -> ReductionResult:
+    """Minimize PRE per dataset in closed form.
 
-    Stopping tolerances follow TolFun = TolX = 10^floor(log10 ||grad E(B0)||)
-    divided by the precision parameter b. Non-convergence is reported through
-    the per-dataset status, not raised.
+    B*_m holds the top-C_m eigenvectors of X_m X_m^T as orthonormal rows, in
+    descending eigenvalue order: any W whose row space is that eigenspace
+    minimizes PRE (Eckart & Young 1936), so final_error is the share of data
+    power in the trailing V_m - C_m eigenvalues.
     """
     target_dims = [int(c) for c in target_dims]
     if len(target_dims) != X.n_datasets:
@@ -93,29 +92,13 @@ def reduce_data(X: MultiDataset, target_dims: Sequence[int],
         if C < 1:
             raise DomainError("target dimension must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    b_blocks, z_blocks, errs, iters, stats = [], [], [], [], []
-    for m, (C, Xm) in enumerate(zip(target_dims, X.blocks)):
-        data_m = MultiDataset([Xm])
-        B0 = BlockTransform([opt.random_row_orthonormal(C, Xm.shape[0], rng)])
-
-        def fg(B, data_m=data_m):
-            return pre_value(B, data_m), pre_gradient(B, data_m)
-
-        g0 = np.linalg.norm(fg(B0)[1].blocks[0])
-        tol = 10.0 ** np.floor(np.log10(max(g0, 1e-300))) / precision_b
-        o = replace(options or opt.OptimOptions(), tol_fun=tol, tol_x=tol)
-        sol = opt.minimize(fg, B0, o)
-        Bm = sol.W_final.blocks[0]
-        b_blocks.append(Bm)
-        z_blocks.append(Bm @ Xm)
-        errs.append(_block_pre(Bm, Xm))
-        iters.append(sol.n_iters)
-        stats.append(sol.status)
-
-    return ReductionResult(B_star=BlockTransform(b_blocks),
-                           reduced=MultiDataset(z_blocks),
-                           final_error=errs, iterations=iters, statuses=stats)
+    B = BlockTransform([np.linalg.eigh(Xm @ Xm.T)[1][:, ::-1][:, :C].T
+                        for C, Xm in zip(target_dims, X.blocks)])
+    # _block_pre rejects zero-power data
+    errs = [_block_pre(Bm, Xm) for Bm, Xm in zip(B.blocks, X.blocks)]
+    Z = MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, X.blocks)])
+    return ReductionResult(B_star=B, reduced=Z, final_error=errs,
+                           iterations=[0] * len(errs))
 
 
 def gpca_init(X: MultiDataset, C: int) -> BlockTransform:

@@ -39,6 +39,7 @@ from misa import (
     snr_scale,
 )
 from misa.gradcheck import fd_gradient, max_rel_error, random_instance
+from misa.objective import Buffers
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +66,10 @@ def test_criterion_01_gradient_audit():
         X, P, W = random_instance(rng, M=M, N=500)
         for mode in DispersionChoice:
             ctx = ObjectiveContext(X, P, dispersion=mode)
-            rep = evaluate(ctx, W, with_gradient=True)
-            num = fd_gradient(lambda Wt: evaluate(ctx, Wt).value, W, step=1e-5)
+            buffers = Buffers(ctx)
+            rep = evaluate(ctx, W, with_gradient=True, buffers=buffers)
+            num = fd_gradient(lambda Wt: evaluate(ctx, Wt, buffers=buffers).value,
+                              W, step=1e-5)
             worst[mode] = max(worst[mode], max_rel_error(rep.gradient, num))
     elapsed = time.perf_counter() - t0
     assert all(v < 1e-5 for v in worst.values()), worst

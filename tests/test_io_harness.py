@@ -88,6 +88,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="solvr"):
             config_from_dict(d)
 
+    def test_removed_precision_b_key_named(self):
+        d = self.base()
+        d["precision_b"] = 80
+        with pytest.raises(ConfigError, match="precision_b"):
+            config_from_dict(d)
+
     def test_unknown_sim_key_named(self):
         d = self.base()
         d["sim"]["n_observations"] = 5
@@ -156,11 +162,16 @@ class TestSummarize:
         # per-instance minima: 0.02, 0.2, 0.04 -> median 0.04
         grid = [[0.5, 0.02, 0.9], [0.2, 0.3, 0.25], [0.04, 0.06, 0.05]]
         recs = [fake_record(i, r, grid[i][r]) for i in range(3) for r in range(3)]
+        recs[1].status = recs[5].status = "MaxIter"
+        recs[4].status = "LineSearchFail"
         s = summarize(self.cfg(), recs)
         assert s["best_misi_per_instance"] == pytest.approx([0.02, 0.2, 0.04])
         assert s["median_best_misi"] == pytest.approx(0.04)
         assert s["good"] is True
         assert s["excellent"] is False
+        assert s["status_counts"] == {"Converged_fun": 6, "LineSearchFail": 1,
+                                      "MaxIter": 2}
+        assert list(s["status_counts"]) == sorted(s["status_counts"])
 
     def test_nan_replicates_skipped(self):
         recs = [fake_record(0, 0, float("nan")), fake_record(0, 1, 0.03),
@@ -224,6 +235,7 @@ class TestRunExperiment:
         records, summary = run_experiment(smoke_config())
         assert [r.status for r in records] == ["error:DefinitenessError"] * 4
         assert np.isnan(summary["median_best_misi"])
+        assert summary["status_counts"] == {"error:DefinitenessError": 4}
 
     def test_write_results_files(self, tmp_path):
         recs = [fake_record(0, 0, 0.01)]

@@ -11,6 +11,7 @@ from misa import (
     gpca_init,
     pre_gradient,
     pre_value,
+    random_row_orthonormal,
     reduce_data,
 )
 from misa.gradcheck import fd_gradient, max_rel_error
@@ -70,7 +71,7 @@ class TestPreGradient:
     def test_stationary_at_optimum(self):
         rng = np.random.default_rng(5)
         X = MultiDataset([rng.standard_normal((6, 500))])
-        red = reduce_data(X, [3], seed=0, precision_b=1e9)
+        red = reduce_data(X, [3])
         g = pre_gradient(red.B_star, X)
         assert np.linalg.norm(g.blocks[0]) < 1e-6
 
@@ -85,7 +86,7 @@ class TestReduceData:
         spec = SimSpec(subspace_dims=np.ones((5, 1), dtype=int), dims_v=[20],
                        n_obs=2000, cond_target=3.0, seed=11)
         data, truth, _ = build_instance(spec)
-        red = reduce_data(data, [5], seed=1, precision_b=1e7)
+        red = reduce_data(data, [5])
         assert red.final_error[0] < 1e-6
         # principal angles between row-space(B*) and column-space(A)
         A = truth.A.blocks[0]
@@ -97,15 +98,15 @@ class TestReduceData:
     def test_no_reduction_near_zero(self):
         rng = np.random.default_rng(12)
         X = MultiDataset([rng.standard_normal((4, 100))])
-        red = reduce_data(X, [4], seed=0)
+        red = reduce_data(X, [4])
         assert red.final_error[0] < 1e-10
         assert np.linalg.matrix_rank(red.B_star.blocks[0]) == 4
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
         X = MultiDataset([rng.standard_normal((8, 300))])
-        red = reduce_data(X, [3], seed=0, precision_b=1e7)
-        red2 = reduce_data(red.reduced, [3], seed=1)
+        red = reduce_data(X, [3])
+        red2 = reduce_data(red.reduced, [3])
         assert red2.final_error[0] < 1e-10
 
     def test_target_exceeding_dim_rejected(self):
@@ -116,9 +117,35 @@ class TestReduceData:
     def test_final_error_consistent(self):
         rng = np.random.default_rng(14)
         X = MultiDataset([rng.standard_normal((6, 200))])
-        red = reduce_data(X, [2], seed=0)
+        red = reduce_data(X, [2])
         assert red.final_error[0] == pytest.approx(pre_value(red.B_star, X), abs=1e-12)
         assert red.reduced.dims == [2]
+
+    def test_zero_power_rejected(self):
+        X = MultiDataset([np.zeros((3, 10))])
+        with pytest.raises(DomainError):
+            reduce_data(X, [2])
+
+    def test_final_error_matches_trailing_eigenvalues(self):
+        rng = np.random.default_rng(19)
+        X = MultiDataset([rng.standard_normal((5, 300)) * np.arange(1, 6)[:, None],
+                          rng.standard_normal((7, 300))])
+        red = reduce_data(X, [2, 4])
+        for Xm, C, err in zip(X.blocks, [2, 4], red.final_error):
+            lam = np.linalg.eigvalsh(Xm @ Xm.T)  # ascending
+            assert err == pytest.approx(lam[:-C].sum() / lam.sum(), abs=1e-12)
+        for Bm, Zm, C in zip(red.B_star.blocks, red.reduced.blocks, [2, 4]):
+            np.testing.assert_allclose(Bm @ Bm.T, np.eye(C), atol=1e-12)
+            # rows in descending eigenvalue order
+            assert np.all(np.diff(np.sum(Zm * Zm, axis=1)) < 0)
+
+    def test_no_random_row_orthonormal_b_does_better(self):
+        rng = np.random.default_rng(20)
+        X = MultiDataset([rng.standard_normal((6, 200)) * np.arange(1, 7)[:, None]])
+        best = pre_value(reduce_data(X, [3]).B_star, X)
+        for _ in range(20):
+            B = BlockTransform([random_row_orthonormal(3, 6, rng)])
+            assert best <= pre_value(B, X)
 
 
 class TestGpca:

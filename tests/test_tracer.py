@@ -36,3 +36,22 @@ def test_workload_configs_build():
     workloads = load("workloads")
     for name in workloads.WORKLOADS:
         assert isinstance(workloads.build_config(name, 1), harness.ExperimentConfig)
+
+
+def test_traced_run_reads_results():
+    # the tracer's info_of readers run only on results of a traced run
+    tracer = load("tracer")
+    cfg = harness.config_from_dict({
+        "experiment": "custom",
+        "sim": {"subspace_dims": [[1], [1], [1]], "dims_v": [5], "n_obs": 2000,
+                "cond_target": 2.0, "snr_db": 20.0},
+        "reduce": "pre", "solver": "misa-gp", "optim": {"tol_fun": 1e-8}})
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        t.run(harness.run_experiment, cfg)
+    finally:
+        t.uninstall()
+    names = {sp.name for sp in t.spans}
+    assert {"reduction.reduce_data", "optimizer.minimize", "harness.replicate",
+            "combinatorics.gp"} <= names
