@@ -54,7 +54,6 @@ from .combinatorics import (
     hungarian,
     match,
     misa_gp_mdm,
-    misa_gp_sdm,
     run_misa,
     subspace_perm,
 )

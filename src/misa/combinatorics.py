@@ -1,7 +1,7 @@
 """Combinatorial local-minimum escape and alignment machinery.
 
-Holds the greedy source-to-subspace reassignment (gp), the single- and
-multi-dataset drivers that alternate it with numerical optimization, the
+Holds the greedy source-to-subspace reassignment (gp), the driver that
+alternates it with numerical optimization for any number of datasets, the
 cross-dataset subspace permutation search, and subspace matching via a
 linear sum assignment.
 """
@@ -157,16 +157,18 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
 
     Within each dataset, subspaces occupying the same number of rows there
     may be interchanged without breaking the prescribed structure; the search
-    picks the combination minimizing the scale-invariant cost. Exhaustive
+    picks the combination minimizing the scale-invariant cost. A group whose
+    subspaces all live in that dataset alone is not searched, since swapping
+    them only relabels them; at M = 1, W is returned as given. Exhaustive
     enumeration is used when the total permutation count is at most
     EXHAUSTIVE_PERM_LIMIT, else greedy pairwise swaps to a fixed point.
     """
     M = data.n_datasets
     d_km = P_ud.per_dataset_dims()
     off = P_ud.col_offsets
-    Y0 = W.transform(data)
 
-    # groups[(m, size)] = subspaces with that many rows in dataset m
+    # groups[(m, size)] = subspaces with that many rows in dataset m, at
+    # least one of them spanning another dataset
     groups = []
     for m in range(M):
         by_size = {}
@@ -175,11 +177,12 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
             if d > 0:
                 by_size.setdefault(d, []).append(k)
         for size, ks in sorted(by_size.items()):
-            if len(ks) >= 2:
+            if len(ks) >= 2 and any(np.count_nonzero(d_km[k]) > 1 for k in ks):
                 groups.append((m, size, ks))
 
     if not groups:
         return W
+    Y0 = W.transform(data)
 
     def cost_of(row_orders: List[np.ndarray]) -> float:
         Y = np.vstack([Y0[off[m]:off[m + 1]][row_orders[m]] for m in range(M)])
@@ -234,54 +237,34 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
     return BlockTransform([W.blocks[m][best_orders[m]] for m in range(M)])
 
 
+def _tied(v: float, ref: float) -> bool:
+    """Whether v ties ref: final values of separate solves agree only to
+    about the solver's relative tolerance, so a gap within TIE_EPS relative
+    to ref is a tie."""
+    return abs(v - ref) <= TIE_EPS * (1.0 + abs(ref))
+
+
 def _pick_best(sols: List[opt.Solution], vals: List[float]) -> opt.Solution:
     """The stored candidate with the lowest score, reported with that score.
-    A later candidate displaces the kept one only when lower by more than
-    TIE_EPS relative: final values of separate solves agree only to about
-    the solver's relative tolerance, so a smaller gap is a tie."""
+    A later candidate displaces the kept one only when lower and not tied
+    with it."""
     ix = 0
     for i, v in enumerate(vals):
-        if v < vals[ix] - TIE_EPS * (1.0 + abs(vals[ix])):
+        if v < vals[ix] and not _tied(v, vals[ix]):
             ix = i
     return replace(sols[ix], objective_value=float(vals[ix]))
-
-
-def misa_gp_sdm(data: MultiDataset, P_ud: SubspaceAssignment,
-                W0: BlockTransform, T: int = 2,
-                psi: Sequence[float] = PSI_LAPLACE,
-                opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
-    """Single-dataset driver: alternate numerical optimization with greedy
-    reassignment under a unidimensional working model, keeping the best of
-    the stored candidates."""
-    if data.n_datasets != 1:
-        raise ShapeError("single-dataset driver")
-    sol0 = run_misa(data, P_ud, W0, opts=opts, psi=psi)
-    vals = [sol0.objective_value]
-    sols = [sol0]
-    W = sol0.W_final
-    P_sdu = SubspaceAssignment.singletons(P_ud.col_dims)
-    for t in range(1, T + 1):
-        sol_u = run_misa(data, P_sdu, W, opts=opts, psi=psi)
-        P_est = gp(data, P_sdu, sol_u.W_final, psi=psi)
-        order = match(P_est, P_ud)
-        W = BlockTransform([sol_u.W_final.blocks[0][order]])
-        sol_t = run_misa(data, P_ud, W, opts=opts, psi=psi)
-        W = sol_t.W_final
-        vals.append(sol_t.objective_value)
-        sols.append(sol_t)
-        if abs(vals[t] - vals[t - 1]) < TIE_EPS:
-            break
-    return _pick_best(sols, vals)
 
 
 def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
                 W0: BlockTransform, T: int = 2,
                 psi: Sequence[float] = PSI_LAPLACE,
                 opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
-    """Multi-dataset driver: per-dataset unidimensional refinement + greedy
-    reassignment + matching, cross-dataset subspace realignment, then joint
-    re-optimization; best stored candidate wins. Every candidate, the first
-    included, is scored with the scale-invariant cost_value.
+    """MISA-GP driver for any number of datasets M, M = 1 included:
+    per-dataset unidimensional refinement + greedy reassignment + matching,
+    cross-dataset subspace realignment, then joint re-optimization; best
+    stored candidate wins. Every candidate, the first included, is scored
+    with the scale-invariant cost_value. The loop stops after a round t >= 2
+    whose value ties round t - 1's.
     """
     sol0 = run_misa(data, P_ud, W0, opts=opts, psi=psi)
     vals = [cost_value(data, P_ud, sol0.W_final, psi=psi)]
@@ -305,6 +288,6 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
         W = sol_t.W_final
         vals.append(cost_value(data, P_ud, W, psi=psi))
         sols.append(sol_t)
-        if t >= 2 and abs(vals[t] - vals[t - 1]) < TIE_EPS:
+        if t >= 2 and _tied(vals[t], vals[t - 1]):
             break
     return _pick_best(sols, vals)

@@ -42,6 +42,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reduce mode {self.reduce!r}")
         if self.solver not in ("misa", "misa-gp"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.solver == "misa-gp" and self.dispersion != DispersionChoice.SCALE_CONTROLLED:
+            raise ConfigError("dispersion applies to solver 'misa' only; "
+                              "misa-gp always uses the controlled dispersion")
         if self.instances < 1 or self.replicates < 1:
             raise ConfigError("instances and replicates must be >= 1")
         if self.sim is None:
@@ -227,8 +230,6 @@ def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
     if cfg.solver == "misa":
         sol = comb.run_misa(work_data, P, W0, dispersion=cfg.dispersion,
                             opts=cfg.optim)
-    elif work_data.n_datasets == 1:
-        sol = comb.misa_gp_sdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
     else:
         sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
     if B is None:

@@ -188,10 +188,6 @@ class SimSpec:
     def n_subspaces(self) -> int:
         return self.subspace_dims.shape[0]
 
-    @property
-    def dims_c(self) -> List[int]:
-        return [int(c) for c in self.subspace_dims.sum(axis=0)]
-
     def cond_for(self, m: int) -> float:
         if np.isscalar(self.cond_target):
             return float(self.cond_target)

@@ -15,7 +15,6 @@ from misa import (
     hungarian,
     match,
     misa_gp_mdm,
-    misa_gp_sdm,
     random_row_orthonormal,
     run_misa,
     subspace_perm,
@@ -256,33 +255,26 @@ def from_partition(groups):
 
 
 class TestDrivers:
-    def test_sdm_t0_equals_plain(self):
+    def test_mdm_t0_equals_plain(self):
+        # one dataset: T = 0 is the plain solve
         data, truth, P = isa_instance()
         rng = np.random.default_rng(0)
         W0 = BlockTransform([random_row_orthonormal(4, 4, rng)])
         sol_plain = run_misa(data, P, W0, opts=OPTS)
-        sol_t0 = misa_gp_sdm(data, P, W0, T=0, opts=OPTS)
-        assert sol_t0.objective_value == pytest.approx(sol_plain.objective_value)
+        sol_t0 = misa_gp_mdm(data, P, W0, T=0, opts=OPTS)
+        np.testing.assert_array_equal(sol_t0.W_final.blocks[0],
+                                      sol_plain.W_final.blocks[0])
 
-    def test_sdm_never_worse_than_plain(self):
+    def test_mdm_never_worse_than_plain(self):
         data, truth, P = isa_instance()
         for seed in range(3):
             rng = np.random.default_rng(seed)
             W0 = BlockTransform([random_row_orthonormal(4, 4, rng)])
             sol_plain = run_misa(data, P, W0, opts=OPTS)
-            sol_gp = misa_gp_sdm(data, P, W0, T=2, opts=OPTS)
-            assert sol_gp.objective_value <= sol_plain.objective_value + TIE_EPS
-
-    def test_mdm_single_dataset_close_to_sdm(self):
-        data, truth, P = isa_instance()
-        rng = np.random.default_rng(1)
-        W0 = BlockTransform([random_row_orthonormal(4, 4, rng)])
-        sol_s = misa_gp_sdm(data, P, W0, T=1, opts=OPTS)
-        sol_m = misa_gp_mdm(data, P, W0, T=1, opts=OPTS)
-        # same pipeline up to the subspace_perm no-op and the stored-cost
-        # convention; final unmixings must agree
-        np.testing.assert_allclose(sol_m.W_final.blocks[0], sol_s.W_final.blocks[0],
-                                   atol=1e-6)
+            sol_gp = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+            c_plain = cost_value(data, P, sol_plain.W_final)
+            assert sol_gp.objective_value == cost_value(data, P, sol_gp.W_final)
+            assert sol_gp.objective_value <= c_plain + TIE_EPS * (1.0 + abs(c_plain))
 
     def test_mdm_scores_every_candidate_with_cost_value(self, monkeypatch):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
@@ -304,6 +296,17 @@ class TestDrivers:
         assert vals == [cost_value(data, P, s.W_final) for s in sols]
         assert sol.objective_value in vals
 
+    def test_mdm_stops_on_relative_tie(self, monkeypatch):
+        # rounds 1 and 2 differ by 1e-6, far above TIE_EPS in absolute terms
+        # but a tie relative to 1e3: the loop stops before round 3
+        data, truth, P = isa_instance()
+        W0 = BlockTransform([random_row_orthonormal(4, 4, np.random.default_rng(0))])
+        vals = iter([1e3 + 1.0, 1e3, 1e3 + 1e-6, 0.0])
+        monkeypatch.setattr(combinatorics, "cost_value", lambda *a, **k: next(vals))
+        sol = misa_gp_mdm(data, P, W0, T=3, opts=OPTS)
+        assert sol.objective_value == 1e3
+        assert next(vals) == 0.0
+
     def test_pick_best_keeps_earliest_of_tied_candidates(self):
         sols = [Solution(W_final=i, objective_value=0.0, status=Status.CONVERGED_FUN,
                          trace=[], n_iters=0, n_evals=0) for i in range(3)]
@@ -314,6 +317,32 @@ class TestDrivers:
 
 
 class TestSubspacePerm:
+    def test_single_dataset_groups_skipped(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return value_from_sources(*args, **kwargs)
+
+        monkeypatch.setattr(combinatorics.obj, "value_from_sources", counting)
+        # M = 1, equal sizes: every swap is a relabelling, so W comes back as is
+        data, truth, P = isa_instance()
+        rng = np.random.default_rng(4)
+        W = BlockTransform([random_row_orthonormal(4, 4, rng)])
+        assert subspace_perm(data, P, W) is W
+        assert calls == []
+        # M = 2: subspace 2 spans both datasets, 0 and 1 live in dataset 0
+        # only; all three share size 1 there, so the group is still searched
+        spec = SimSpec(subspace_dims=np.array([[1, 0], [1, 0], [1, 1]]),
+                       dims_v=[3, 1], n_obs=2000, cond_target=[2.0, 1.0],
+                       rho_max=0.7, seed=6)
+        data, truth, P = build_instance(spec)
+        W = [np.linalg.inv(A) for A in truth.A.blocks]
+        W_sw = BlockTransform([W[0][[2, 1, 0]], W[1]])  # swap subspaces 0 and 2
+        out = subspace_perm(data, P, W_sw)
+        assert len(calls) == 1 + 6  # the identity, then all 3! orders
+        assert cost_value(data, P, out) < cost_value(data, P, W_sw) - TIE_EPS
+
     def test_distinct_sizes_identity(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
                        n_obs=1000, cond_target=2.0, seed=2)

@@ -143,6 +143,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(d)
 
+    def test_dispersion_only_with_plain_solver(self):
+        # misa-gp would ignore the dispersion, so asking for one is an error
+        d = self.base()
+        d["dispersion"] = "invariant"
+        assert config_from_dict(d).dispersion.value == "invariant"
+        d["solver"] = "misa-gp"
+        with pytest.raises(ConfigError, match="dispersion"):
+            config_from_dict(d)
+        d["dispersion"] = "controlled"
+        assert config_from_dict(d).solver == "misa-gp"
+        with pytest.raises(ConfigError, match="dispersion"):
+            config_from_dict({"experiment": "isa1", "dispersion": "invariant"})
+
 
 def fake_record(i, r, misi):
     return RunRecord(instance=i, replicate=r, instance_seed=0, replicate_seed=0,

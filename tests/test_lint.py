@@ -1,12 +1,19 @@
-"""Lint gate: no module imports a name it never uses.
+"""Lint gates.
 
-A name counts as used when it appears as an identifier anywhere in the
-module (a bare name, or the base of an attribute chain); text inside string
-literals does not count. ``src/misa/__init__.py`` is skipped, since its
-imports are the package's re-exports.
+No module imports a name it never uses. A name counts as used when it
+appears as an identifier anywhere in the module (a bare name, or the base of
+an attribute chain); text inside string literals does not count.
+``src/misa/__init__.py`` is skipped, since its imports are the package's
+re-exports.
+
+README.md names no stale code: every backticked snake_case identifier in
+its prose is defined in ``src/misa`` (a function, class, field, assigned
+name or attribute, or a module) or appears there as a string constant.
+File names such as ``records.csv`` are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +46,50 @@ def test_scan_flags_unused_and_ignores_strings():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "misa", "py", "toml"}
+DOTTED_NAME = re.compile(r"[a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)*")
+
+
+def defined_names(sources: dict) -> set:
+    """Names the modules {stem: source} define or hold as string constants."""
+    names = set(sources)
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def readme_names(text: str) -> set:
+    """Backticked snake_case identifiers outside fenced code blocks; a dotted
+    span such as ``harness.solve_instance`` yields each of its parts."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        parts = span.split(".")
+        if (DOTTED_NAME.fullmatch(span) and "_" in span
+                and not (len(parts) > 1 and parts[-1] in FILE_SUFFIXES)):
+            names.update(parts)
+    return names
+
+
+def test_readme_scan():
+    text = ("`run_x` and `mod.sub_y`, not `records.csv`, `plain`, `a b_c`\n"
+            "```\n`in_fence`\n```\n")
+    assert readme_names(text) == {"run_x", "mod", "sub_y"}
+    src = {"mod": "class K:\n    f_x: int = 0\ndef run_x(): return 'sub_y'\n"}
+    assert {"mod", "K", "f_x", "run_x", "sub_y"} <= defined_names(src)
+
+
+def test_readme_names_defined():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
+    names = readme_names((ROOT / "README.md").read_text())
+    assert sorted(names - defined_names(sources)) == []

@@ -189,7 +189,6 @@ class TestSimSpec:
                        n_obs=100, cond_target=3.0)
         assert spec.n_datasets == 2
         assert spec.n_subspaces == 2
-        assert list(spec.dims_c) == [3, 3]
 
 
 class TestBuildInstance:
