@@ -31,7 +31,7 @@ def _load_cfg(args) -> harness.ExperimentConfig:
     else:
         raise SystemExit("need --config or --experiment")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -104,9 +104,9 @@ def cmd_solve(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _load_cfg(args)
     if args.threads is not None:
-        cfg.threads = args.threads
+        cfg = replace(cfg, threads=args.threads)
     if args.out:
-        cfg.out_dir = args.out
+        cfg = replace(cfg, out_dir=args.out)
     records, summary = harness.run_experiment(cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["good"] else 1
@@ -131,11 +131,8 @@ def cmd_score(args) -> int:
     wdir = Path(args.est) if args.est else root
     W = BlockTransform([load_matrix(wdir / f"W_{m}.misa")
                         for m in range(data.n_datasets)])
-    out = {"misi": metrics.misi(W, A, P)}
-    if harness._mmse_applicable(P) and (root / "Y.misa").exists():
-        Y_true = load_matrix(root / "Y.misa")
-        Y_hat = W.transform(data)
-        out["mmse"] = metrics.mmse(harness.correlation_summary(Y_hat, Y_true, P))
+    Y_true = load_matrix(root / "Y.misa") if (root / "Y.misa").exists() else None
+    out = harness.score_estimate(W, A, P, data, Y_true)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0 if out["misi"] < metrics.MISI_GOOD else 1
 

@@ -47,6 +47,10 @@ class ExperimentConfig:
                               "misa-gp always uses the controlled dispersion")
         if self.instances < 1 or self.replicates < 1:
             raise ConfigError("instances and replicates must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if self.T < 0 or self.seed < 0:
+            raise ConfigError("T and seed must be >= 0")
         if self.sim is None:
             raise ConfigError("config needs a sim section or a preset experiment id")
 
@@ -199,9 +203,18 @@ def correlation_summary(Y_hat: np.ndarray, Y_true: np.ndarray,
     return np.divide(total, covered, out=np.zeros((K, K)), where=covered > 0)
 
 
-def _mmse_applicable(P: SubspaceAssignment) -> bool:
-    # reliable only when every subspace holds at most one source per dataset
-    return bool(np.all(P.per_dataset_dims() <= 1))
+def score_estimate(W_total: BlockTransform, A: BlockTransform,
+                   P: SubspaceAssignment, data: MultiDataset,
+                   Y_true: Optional[np.ndarray]) -> dict:
+    """{"misi": MISI of W_total against the mixing A, "mmse": MMSE of the
+    estimated sources W_total X against Y_true}. "mmse" is left out without
+    Y_true, and unless every subspace holds at most one source per dataset,
+    the only case where it is a reliable recovery score."""
+    out = {"misi": metrics.misi(W_total, A, P)}
+    if Y_true is not None and np.all(P.per_dataset_dims() <= 1):
+        Y_hat = W_total.transform(data)
+        out["mmse"] = metrics.mmse(correlation_summary(Y_hat, Y_true, P))
+    return out
 
 
 def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
@@ -244,14 +257,10 @@ def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
     t0 = time.perf_counter()
     try:
         sol, W_total = solve_instance(cfg, work_data, P, B, rep_seed)
-        misi_val = metrics.misi(W_total, truth.A, P)
-        if _mmse_applicable(P):
-            Y_hat = W_total.transform(data)
-            mmse_val = metrics.mmse(correlation_summary(Y_hat, truth.Y, P))
-        else:
-            mmse_val = float("nan")
+        scores = score_estimate(W_total, truth.A, P, data, truth.Y)
         return RunRecord(instance=i, replicate=r, instance_seed=inst_seed,
-                         replicate_seed=rep_seed, misi=misi_val, mmse=mmse_val,
+                         replicate_seed=rep_seed, misi=scores["misi"],
+                         mmse=scores.get("mmse", float("nan")),
                          objective=sol.objective_value, iterations=sol.n_iters,
                          wall_time=time.perf_counter() - t0,
                          status=sol.status.value)

@@ -34,7 +34,7 @@ from .model import (
 RANK_RTOL = 1e3 * np.finfo(float).eps
 
 
-def _svd_terms(W_m: np.ndarray):
+def svd_terms(W_m: np.ndarray):
     """(sum of log singular values of W_m, (W_m^-)^T) from one thin SVD;
     RankError when the smallest singular value is below the rank threshold."""
     U, s, Vt = np.linalg.svd(W_m, full_matrices=False)
@@ -45,7 +45,7 @@ def _svd_terms(W_m: np.ndarray):
 
 def j_d_term(W_m: np.ndarray) -> float:
     """Sum of log singular values of W_m; ln|det W_m| in the square case."""
-    return _svd_terms(W_m)[0]
+    return svd_terms(W_m)[0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
         buffers = Buffers(ctx)
     elif buffers.ctx is not ctx:
         raise ShapeError("buffers were built for another ObjectiveContext")
-    jd, pinv_t = zip(*(_svd_terms(Wm) for Wm in W.blocks))
+    jd, pinv_t = zip(*(svd_terms(Wm) for Wm in W.blocks))
     X = ctx.data.blocks
     invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
     M = np.vstack([Wm @ Rm.T for Wm, Rm in zip(W.blocks, buffers.R_blocks)])

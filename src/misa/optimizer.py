@@ -1,9 +1,8 @@
-"""Bounded limited-memory quasi-Newton minimizer.
+"""Limited-memory quasi-Newton minimizer with a backtracking line search.
 
 Operates on the flattened free entries of a BlockTransform. The search
 gradient is whatever the callback supplies; the MISA solvers pass the
-relative gradient. Box bounds are handled by projecting trial points onto
-the box, so iterates never leave it.
+relative gradient. The iterates are unconstrained.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import numpy as np
 from .errors import DefinitenessError, DomainError, RankError
 from .model import BlockTransform
 
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-MAX_BISECTIONS = 20
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 20
 
 
 class Status(Enum):
@@ -32,8 +30,6 @@ class Status(Enum):
 
 @dataclass
 class OptimOptions:
-    lower: float = -100.0
-    upper: float = 100.0
     typical_x: float = 0.1
     max_fun_evals: int = 50000
     max_iters: int = 10000
@@ -42,10 +38,10 @@ class OptimOptions:
     tol_x: float = 1e-9
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise DomainError("bounds must be finite")
-        if self.lower >= self.upper:
-            raise DomainError("need lower < upper")
+        if not self.typical_x > 0:
+            raise DomainError("typical_x must be > 0")
+        if self.max_iters < 1 or self.max_fun_evals < 1:
+            raise DomainError("iteration and evaluation caps must be >= 1")
         if self.lbfgs_memory < 1:
             raise DomainError("lbfgs memory must be >= 1")
         if self.tol_fun <= 0 or self.tol_x <= 0:
@@ -57,7 +53,6 @@ class IterRecord:
     value: float
     grad_norm: float
     step: float
-    armijo_ok: bool
 
 
 @dataclass
@@ -120,18 +115,20 @@ class _Flat:
 
 def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]],
              W0: BlockTransform, opts: Optional[OptimOptions] = None) -> Solution:
-    """Projected L-BFGS with a strong-Wolfe line search.
+    """L-BFGS with an Armijo backtracking line search.
 
-    Terminates when |df| < tol_fun*(1+|f|), when the accepted step has
-    ||dW||_inf < tol_x, or at the iteration/evaluation caps. A line search
-    that cannot satisfy the Wolfe conditions after the bisection budget ends
-    the run with LineSearchFail rather than raising. A RankError or
-    DefinitenessError at a trial point counts as f = +inf there; at W0 it
-    propagates.
+    Each search first tries the step a = 1 (on the first iteration, the
+    shorter step that moves an entry by typical_x on average) and halves it
+    until f(x + a d) <= f + ARMIJO_C * a * g^T d, for at most MAX_HALVINGS
+    trials. A search in which no trial passes ends the run with
+    LineSearchFail rather than raising, or with MaxEval if it ran into the
+    evaluation cap. Otherwise the run terminates when
+    |df| < tol_fun*(1+|f|), when the accepted step has ||dW||_inf < tol_x,
+    or at the iteration/evaluation caps. A RankError or DefinitenessError at
+    a trial point counts as f = +inf there; at W0 it propagates.
     """
     opts = opts or OptimOptions()
     flat = _Flat(W0)
-    lb, ub = opts.lower, opts.upper
 
     evals = [0]
 
@@ -140,21 +137,13 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
         f, G = f_and_grad(flat.to_blocks(x))
         return float(f), flat.to_vec(G)
 
-    x = np.clip(flat.to_vec(W0), lb, ub)
+    x = flat.to_vec(W0)
     f, g = fg(x)
     trace: List[IterRecord] = []
     s_hist: List[np.ndarray] = []
     y_hist: List[np.ndarray] = []
     status = Status.MAX_ITER
     n_iter = 0
-
-    def project(z: np.ndarray) -> np.ndarray:
-        return np.clip(z, lb, ub)
-
-    def dphi(gz: np.ndarray, xz: np.ndarray, d: np.ndarray) -> float:
-        # derivative along the projected path: clipped coordinates are frozen
-        active = ((xz > lb) & (xz < ub)) | ((xz <= lb) & (d > 0)) | ((xz >= ub) & (d < 0))
-        return float(gz[active] @ d[active])
 
     for n_iter in range(1, opts.max_iters + 1):
         d = -lbfgs_direction(g, s_hist, y_hist)
@@ -165,52 +154,29 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
             status = Status.CONVERGED_X
             break
 
-        # strong-Wolfe search on phi(a) = f(project(x + a d))
         if s_hist:
             a = 1.0
         else:
             a = min(1.0, x.size * opts.typical_x / max(np.sum(np.abs(d)), 1e-12))
-        a_lo, a_hi = 0.0, np.inf
-        ok = False
-        best = None  # best Armijo-satisfying trial, as fallback
-        fa, ga, xa = f, g, x
-        for _ in range(MAX_BISECTIONS):
-            xa = project(x + a * d)
+        for _ in range(min(MAX_HALVINGS, opts.max_fun_evals - evals[0])):
+            x_new = x + a * d
             try:
-                fa, ga = fg(xa)
+                f_new, g_new = fg(x_new)
             except (RankError, DefinitenessError):
                 # undefined at the trial point: f = +inf, so the step halves
-                fa, ga = np.inf, None
-            if not fa <= f + WOLFE_C1 * a * g0d:
-                a_hi = a  # Armijo fails: step too long
-            else:
-                if best is None or fa < best[1]:
-                    best = (a, fa, ga, xa)
-                ga_d = dphi(ga, xa, d)
-                if ga_d < WOLFE_C2 * g0d:
-                    a_lo = a  # slope still steeply negative: step too short
-                elif ga_d > -WOLFE_C2 * g0d:
-                    a_hi = a  # overshot past the minimum along d
-                else:
-                    ok = True
-                    break
-            a = 0.5 * (a_lo + a_hi) if np.isfinite(a_hi) else 2.0 * a
-            if evals[0] >= opts.max_fun_evals:
+                f_new = np.inf
+            if f_new <= f + ARMIJO_C * a * g0d:
                 break
-        if ok:
-            armijo_ok = True
-        elif best is not None and best[1] < f:
-            a, fa, ga, xa = best
-            armijo_ok = True
+            a *= 0.5
         else:
-            status = Status.LINE_SEARCH_FAIL
+            status = (Status.MAX_EVAL if evals[0] >= opts.max_fun_evals
+                      else Status.LINE_SEARCH_FAIL)
             break
 
-        x_new, f_new, g_new = xa, fa, ga
         s = x_new - x
         y = g_new - g
         trace.append(IterRecord(value=f_new, grad_norm=float(np.linalg.norm(g_new)),
-                                step=float(a), armijo_ok=bool(armijo_ok)))
+                                step=float(a)))
         df = abs(f - f_new)
         dx = float(np.max(np.abs(s))) if s.size else 0.0
         if y @ s > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):

@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import DomainError, RankError, ShapeError
 from .model import BlockTransform, MultiDataset
-from .objective import RANK_RTOL
-
-
-def _pinv(W: np.ndarray) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        raise RankError("W block is rank deficient")
-    return Vt.T @ ((1.0 / s)[:, None] * U.T)
+from .objective import svd_terms
 
 
 def _x_norm(X: np.ndarray) -> float:
@@ -33,7 +26,7 @@ def _x_norm(X: np.ndarray) -> float:
 
 
 def _block_pre(W: np.ndarray, X: np.ndarray) -> float:
-    Wp = _pinv(W)
+    Wp = svd_terms(W)[1].T  # W^-, or RankError
     R = Wp @ (W @ X) - X
     return float(np.sum(R * R)) / (X.shape[1] * _x_norm(X))
 
@@ -57,7 +50,7 @@ def pre_gradient(W: BlockTransform, X: MultiDataset) -> BlockTransform:
     out = []
     for Wm, Xm in zip(W.blocks, X.blocks):
         N = Xm.shape[1]
-        Wp = _pinv(Wm)
+        Wp = svd_terms(Wm)[1].T
         Z = Wp @ (Wm @ Xm) - Xm
         B = Xm @ Z.T + Z @ Xm.T
         C = (2.0 / (_x_norm(Xm) * N)) * (Wp.T @ B)

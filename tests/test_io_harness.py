@@ -6,6 +6,7 @@ import pytest
 from misa import (
     ConfigError,
     DefinitenessError,
+    DomainError,
     ParseError,
     RunRecord,
     SubspaceAssignment,
@@ -142,6 +143,17 @@ class TestConfig:
         d["dispersion"] = "affine"
         with pytest.raises(ConfigError):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("kw", [{"threads": 0}, {"threads": -3}, {"T": -2},
+                                    {"seed": -1}])
+    def test_bad_threads_rounds_or_seed(self, kw):
+        with pytest.raises(ConfigError):
+            config_from_dict({"experiment": "isa2", **kw})
+
+    def test_bad_optim_knob(self):
+        # OptimOptions' own checks (test_optimizer.py) reach config files
+        with pytest.raises(DomainError):
+            config_from_dict({"experiment": "isa2", "optim": {"typical_x": -1.0}})
 
     def test_dispersion_only_with_plain_solver(self):
         # misa-gp would ignore the dispersion, so asking for one is an error
@@ -312,7 +324,7 @@ def write_smoke_cfg(tmp_path, **extra):
 
 
 class TestCli:
-    def test_generate_solve_score(self, tmp_path):
+    def test_generate_solve_score(self, tmp_path, capsys):
         cfg = write_smoke_cfg(tmp_path)
         inst = tmp_path / "inst"
         est = tmp_path / "est"
@@ -325,8 +337,12 @@ class TestCli:
         assert rc == 0
         solve = json.loads((est / "solve.json").read_text())
         assert solve["misi"] < 0.1
+        capsys.readouterr()
         rc = cli_main(["score", "--data", str(inst), "--est", str(est)])
         assert rc == 0
+        score = json.loads(capsys.readouterr().out)
+        assert score["misi"] == solve["misi"]
+        assert 0.0 <= score["mmse"] < 1.0  # 1-d subspaces: MMSE applies
 
     def test_experiment_verb(self, tmp_path, capsys):
         cfg = write_smoke_cfg(tmp_path)
@@ -354,6 +370,14 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(cfg)]) == 0
         assert cli_main(["experiment", "--config", str(cfg), "--threads", "3"]) == 0
         assert seen == [2, 3]
+
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--seed", "-1"]])
+    def test_experiment_flags_validated(self, tmp_path, monkeypatch, flag):
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda cfg: ([], {"good": True}))
+        cfg = write_smoke_cfg(tmp_path)
+        with pytest.raises(ConfigError):
+            cli_main(["experiment", "--config", str(cfg), *flag])
 
     def test_solve_gpca_unequal_source_counts_rejected(self, tmp_path):
         # gpca keeps C_1 rows per dataset, so unequal C_m cannot be reduced

@@ -6,6 +6,10 @@ an attribute chain); text inside string literals does not count.
 ``src/misa/__init__.py`` is skipped, since its imports are the package's
 re-exports.
 
+No module-level UPPER_CASE constant in ``src/misa`` goes unread: each is
+read (a bare name or an attribute, not an assignment or an import)
+somewhere in ``src/misa`` or ``tests``.
+
 README.md names no stale code: every backticked snake_case identifier in
 its prose is defined in ``src/misa`` (a function, class, field, assigned
 name or attribute, or a module) or appears there as a string constant.
@@ -46,6 +50,42 @@ def test_scan_flags_unused_and_ignores_strings():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(defining: dict, reading: list) -> list:
+    """(module, name) for each module-level UPPER_CASE name assigned in the
+    modules {stem: source} of ``defining`` and read in none of the sources
+    ``reading``."""
+    read = set()
+    for source in reading:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    unread = []
+    for stem, source in defining.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [(stem, t.id) for t in targets if isinstance(t, ast.Name)
+                       and CONSTANT.fullmatch(t.id) and t.id not in read]
+    return sorted(unread)
+
+
+def test_constant_scan():
+    mod = "A = 1\nB = 2\n_C: int = 3\nD = 4\nlower = 5\nclass K:\n    E = 6\n"
+    use = "from mod import B\nx = A + mod.D\ny = 'B _C'\n"
+    assert unread_constants({"mod": mod}, [mod, use]) == [("mod", "B"), ("mod", "_C")]
+
+
+def test_no_unread_constants():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
+    reading = [p.read_text() for p in FILES]
+    assert unread_constants(sources, reading) == []
 
 
 FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "misa", "py", "toml"}
