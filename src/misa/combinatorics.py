@@ -12,20 +12,13 @@ import functools
 import itertools
 import math
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ShapeError
-from .model import (
-    PSI_LAPLACE,
-    BlockTransform,
-    DispersionChoice,
-    MultiDataset,
-    SubspaceAssignment,
-    kotz_from_psi,
-)
+from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from . import objective as obj
 from . import optimizer as opt
 
@@ -87,16 +80,14 @@ def match(P_est, P_ud) -> np.ndarray:
     return np.asarray(order, dtype=int)
 
 
-def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
-               psi: Sequence[float] = PSI_LAPLACE) -> float:
+def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> float:
     """Scale-invariant objective value at W, used to score assignment
     candidates."""
-    ctx = obj.ObjectiveContext(data, P, DispersionChoice.SCALE_INVARIANT, psi=psi)
+    ctx = obj.ObjectiveContext(data, P, DispersionChoice.SCALE_INVARIANT)
     return obj.evaluate(ctx, W).value
 
 
-def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
-       psi: Sequence[float] = PSI_LAPLACE) -> SubspaceAssignment:
+def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> SubspaceAssignment:
     """Greedy source-group reassignment at fixed W (single dataset).
 
     For each source in turn, try merging the group holding it into each
@@ -113,8 +104,7 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
     @functools.lru_cache(maxsize=None)
     def cost(group: Tuple[int, ...]) -> float:
         g = list(group)
-        return obj.subspace_value(Y[g], YY[np.ix_(g, g)],
-                                  kotz_from_psi(psi, len(g)), invariant=True)
+        return obj.subspace_value(Y[g], YY[np.ix_(g, g)], invariant=True)
 
     groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
     for c in range(P.n_sources):
@@ -137,22 +127,20 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform,
 
 def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,
              dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
-             psi: Sequence[float] = PSI_LAPLACE,
              opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
     """Numerically minimize the objective from W0, passing the relative
     gradient to the quasi-Newton solver."""
-    ctx = obj.ObjectiveContext(data, P, dispersion=dispersion, psi=psi)
-    buffers = obj.Buffers(ctx)
+    ctx = obj.ObjectiveContext(data, P, dispersion=dispersion)
 
     def fg(W: BlockTransform):
-        rep = obj.evaluate(ctx, W, with_gradient=True, buffers=buffers)
+        rep = obj.evaluate(ctx, W, with_gradient=True)
         return rep.value, obj.relative_gradient(rep.gradient, W)
 
     return opt.minimize(fg, W0, opts)
 
 
 def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
-                  W: BlockTransform, psi: Sequence[float] = PSI_LAPLACE) -> BlockTransform:
+                  W: BlockTransform) -> BlockTransform:
     """Realign same-size subspaces across datasets by permuting W rows.
 
     Within each dataset, subspaces occupying the same number of rows there
@@ -186,8 +174,7 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
 
     def cost_of(row_orders: List[np.ndarray]) -> float:
         Y = np.vstack([Y0[off[m]:off[m + 1]][row_orders[m]] for m in range(M)])
-        return obj.value_from_sources(Y, P_ud, DispersionChoice.SCALE_INVARIANT,
-                                      psi=psi)
+        return obj.value_from_sources(Y, P_ud, DispersionChoice.SCALE_INVARIANT)
 
     identity_orders = [np.arange(P_ud.col_dims[m]) for m in range(M)]
 
@@ -257,7 +244,6 @@ def _pick_best(sols: List[opt.Solution], vals: List[float]) -> opt.Solution:
 
 def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
                 W0: BlockTransform, T: int = 2,
-                psi: Sequence[float] = PSI_LAPLACE,
                 opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
     """MISA-GP driver for any number of datasets M, M = 1 included:
     per-dataset unidimensional refinement + greedy reassignment + matching,
@@ -266,8 +252,8 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
     with the scale-invariant cost_value. The loop stops after a round t >= 2
     whose value ties round t - 1's.
     """
-    sol0 = run_misa(data, P_ud, W0, opts=opts, psi=psi)
-    vals = [cost_value(data, P_ud, sol0.W_final, psi=psi)]
+    sol0 = run_misa(data, P_ud, W0, opts=opts)
+    vals = [cost_value(data, P_ud, sol0.W_final)]
     sols = [sol0]
     W = sol0.W_final
     off = P_ud.col_offsets
@@ -277,16 +263,15 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
             data_m = MultiDataset([data.blocks[m]])
             C_m = P_ud.col_dims[m]
             P_sdu = SubspaceAssignment.singletons([C_m])
-            sol_m = run_misa(data_m, P_sdu, BlockTransform([W.blocks[m]]),
-                             opts=opts, psi=psi)
-            P_est = gp(data_m, P_sdu, sol_m.W_final, psi=psi)
+            sol_m = run_misa(data_m, P_sdu, BlockTransform([W.blocks[m]]), opts=opts)
+            P_est = gp(data_m, P_sdu, sol_m.W_final)
             P_ud_m = np.asarray(P_ud.P[:, off[m]:off[m + 1]])
             order = match(P_est, P_ud_m)
             blocks.append(sol_m.W_final.blocks[0][order])
-        W = subspace_perm(data, P_ud, BlockTransform(blocks), psi=psi)
-        sol_t = run_misa(data, P_ud, W, opts=opts, psi=psi)
+        W = subspace_perm(data, P_ud, BlockTransform(blocks))
+        sol_t = run_misa(data, P_ud, W, opts=opts)
         W = sol_t.W_final
-        vals.append(cost_value(data, P_ud, W, psi=psi))
+        vals.append(cost_value(data, P_ud, W))
         sols.append(sol_t)
         if t >= 2 and _tied(vals[t], vals[t - 1]):
             break

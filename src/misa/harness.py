@@ -8,9 +8,9 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,54 +55,67 @@ class ExperimentConfig:
             raise ConfigError("config needs a sim section or a preset experiment id")
 
 
-def _keys(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
-_TOP_KEYS = _keys(ExperimentConfig)
-_SIM_KEYS = _keys(SimSpec)
-_OPTIM_KEYS = _keys(opt.OptimOptions)
 # keys copied as given; the others are parsed into their own types
-_SCALAR_KEYS = _TOP_KEYS - {"experiment", "sim", "optim", "dispersion"}
+_SCALAR_KEYS = ({f.name for f in fields(ExperimentConfig)}
+                - {"experiment", "sim", "optim", "dispersion"})
 
 
-def _parse_snr(v):
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return np.inf
-        raise ConfigError(f"bad snr_db value {v!r}")
-    return float(v)
+def _fits(v, hint) -> bool:
+    """Whether the JSON value v fits a field annotated hint. Types parsed
+    into their own classes (SimSpec, OptimOptions, DispersionChoice) fit
+    anything here."""
+    if hint is np.ndarray:  # SimSpec.subspace_dims, a K x M table
+        hint = Sequence[Sequence[int]]
+    if get_origin(hint) is Union:
+        return any(_fits(v, h) for h in get_args(hint))
+    if get_args(hint):  # Sequence[item]
+        return isinstance(v, list) and all(_fits(x, get_args(hint)[0]) for x in v)
+    if hint in (int, float):
+        return not isinstance(v, bool) and isinstance(v, int if hint is int else (int, float))
+    return isinstance(v, hint) if hint in (str, type(None)) else True
+
+
+def _section(name: str, values, cls) -> dict:
+    """values checked against the fields of the dataclass cls: ConfigError
+    names every key that is unknown, missing (a field without default) or
+    of the wrong JSON type."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name} must be an object")
+    hints = get_type_hints(cls)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for what, keys in (("unknown", set(values) - set(hints)),
+                       ("missing", required - set(values)),
+                       ("wrong-typed", {k for k, v in values.items()
+                                        if k in hints and not _fits(v, hints[k])})):
+        if keys:
+            raise ConfigError(f"{what} {name} key(s): {sorted(keys)}")
+    return values
+
+
+def _parse_snr(v: str) -> float:
+    if v.lower() in ("inf", "infinity"):
+        return np.inf
+    raise ConfigError(f"bad snr_db value {v!r}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build a validated config from a parsed JSON tree; unknown keys are
-    rejected by name at every level."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(d) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    """Build a validated config from a parsed JSON tree; unknown, missing and
+    wrong-typed keys are rejected by name at every level."""
+    _section("config", d, ExperimentConfig)
     exp_id = d.get("experiment", "custom")
     base = preset(exp_id) if exp_id != "custom" else ExperimentConfig(
         experiment="custom", sim=SimSpec(subspace_dims=[[1]], dims_v=[1], n_obs=2))
     kw = {}
     if "sim" in d:
         s = d["sim"]
-        unknown = set(s) - _SIM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown sim key(s): {sorted(unknown)}")
-        s = dict(s)
-        if "snr_db" in s:
-            s["snr_db"] = _parse_snr(s["snr_db"])
-        kw["sim"] = SimSpec(**s)
+        if isinstance(s, dict) and isinstance(s.get("snr_db"), str):
+            s = {**s, "snr_db": _parse_snr(s["snr_db"])}
+        kw["sim"] = SimSpec(**_section("sim", s, SimSpec))
     elif exp_id == "custom":
         raise ConfigError("custom experiment requires a sim section")
     if "optim" in d:
-        o = d["optim"]
-        unknown = set(o) - _OPTIM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown optim key(s): {sorted(unknown)}")
-        kw["optim"] = opt.OptimOptions(**o)
+        kw["optim"] = opt.OptimOptions(**_section("optim", d["optim"], opt.OptimOptions))
     if "dispersion" in d:
         try:
             kw["dispersion"] = DispersionChoice(d["dispersion"])

@@ -3,12 +3,13 @@
 Both dispersion modes are supported: scale-invariant (dispersion tied to the
 sample covariance, objective blind to per-source rescaling) and
 scale-controlled (dispersion tied to the sample correlation, model variances
-pinned at alpha_k). Subspaces with the same per-dataset dimensions are
-evaluated together as one (n, d, N) stack. The dispersions and the
-dispersion part of the gradient come from the R factor of the data, formed
-once per solve; the rest of the gradient is mapped from source space back
-to each dataset block. The relative-gradient transform used by the solvers
-is also provided here.
+pinned at alpha_k). One ObjectiveContext per solve holds the problem, the R
+factor of the data and the N-sized scratch. Subspaces with the same
+per-dataset dimensions are evaluated together as one (n, d, N) stack. The
+dispersions and the dispersion part of the gradient come from the R factor;
+the rest of the gradient is mapped from source space back to each dataset
+block. The relative-gradient transform used by the solvers is also
+provided here.
 """
 
 from __future__ import annotations
@@ -46,47 +47,6 @@ def svd_terms(W_m: np.ndarray):
 def j_d_term(W_m: np.ndarray) -> float:
     """Sum of log singular values of W_m; ln|det W_m| in the square case."""
     return svd_terms(W_m)[0]
-
-
-@dataclass(frozen=True)
-class ObjectiveContext:
-    """Frozen problem definition: data, subspace structure, Kotz parameters.
-
-    kotz holds one KotzParams per subspace; pass psi to build them all from a
-    single (beta, lambda, eta) triple.
-    """
-
-    data: MultiDataset
-    assignment: SubspaceAssignment
-    kotz: tuple
-    dispersion: DispersionChoice
-
-    def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
-                 dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
-                 kotz: Optional[Sequence[KotzParams]] = None,
-                 psi: Sequence[float] = PSI_LAPLACE):
-        if sum(assignment.col_dims) != assignment.n_sources:
-            raise ShapeError("assignment inconsistent")
-        if data.n_datasets != len(assignment.col_dims):
-            raise ShapeError("assignment covers a different number of datasets")
-        dims = assignment.subspace_dims
-        if kotz is None:
-            kotz = [kotz_from_psi(psi, int(d)) for d in dims]
-        kotz = tuple(kotz)
-        if len(kotz) != assignment.n_subspaces:
-            raise ShapeError("need one KotzParams per subspace")
-        for k, (pk, d) in enumerate(zip(kotz, dims)):
-            if pk.d != d:
-                raise ShapeError(f"KotzParams {k} built for d={pk.d}, subspace has d={d}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "kotz", kotz)
-        object.__setattr__(self, "dispersion", dispersion)
-
-    @property
-    def f_constant(self) -> float:
-        """Sum over subspaces of the Kotz log normalizers (W-independent)."""
-        return float(sum(p.log_norm_const for p in self.kotz))
 
 
 @dataclass(frozen=True)
@@ -165,27 +125,27 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
     return jc, jf, je, QZ
 
 
-def _shares(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
-            ks) -> np.ndarray:
-    """Per-member 0.5 J_C - J_F + J_E minus the Kotz log normalizer."""
-    n, _, N = S.shape
+def _shares(S: np.ndarray, Z: np.ndarray, invariant: bool, ks) -> np.ndarray:
+    """Per-member 0.5 J_C - J_F + J_E minus the Kotz log normalizer, at the
+    Laplace Kotz parameters every scorer uses."""
+    n, d, N = S.shape
+    pk = kotz_from_psi(PSI_LAPLACE, d)
     jc, jf, je, _ = _stack_terms(S, Z, pk, invariant, ks, np.empty_like(S),
                                  np.empty((n, N)), np.empty((n, N)))
     return 0.5 * jc - jf + je - pk.log_norm_const
 
 
-def subspace_value(Yk: np.ndarray, Zk: np.ndarray, pk: KotzParams,
-                   invariant: bool) -> float:
-    """One subspace's share of the objective from its sources Yk and
+def subspace_value(Yk: np.ndarray, Zk: np.ndarray, invariant: bool) -> float:
+    """One subspace's share of the Laplace objective from its sources Yk and
     Zk = Yk Yk^T: 0.5 J_C - J_F + J_E minus its Kotz log normalizer. The
     objective is the sum of these less J_D, so a change of assignment at
     fixed W moves only the shares it touches."""
-    return float(_shares(Yk[None], Zk[None], pk, invariant, None)[0])
+    return float(_shares(Yk[None], Zk[None], invariant, None)[0])
 
 
 @dataclass
 class _Stack:
-    """One stack of Buffers: subspaces ks, in that order, sharing pk."""
+    """One stack of an ObjectiveContext: subspaces ks that share d_km and pk."""
 
     ks: list
     pk: KotzParams
@@ -198,42 +158,50 @@ class _Stack:
     w: np.ndarray  # (n, N)
 
 
-class Buffers:
-    """The per-solve state of evaluate: the R factor of the data and the
-    N-sized scratch.
+class ObjectiveContext:
+    """One solve's problem and the state its evaluate calls reuse.
 
-    With X = X_1..X_M stacked (V x N) and X^T = Q R (R is V x V when
-    N >= V), the sources Y = blockdiag(W) X are M Q^T with
-    M = blockdiag(W) R^T. So Y Y^T = M M^T and Y X^T = M R: the dispersions
-    and the dispersion part of the gradient need no N-sized product.
+    The problem is the data, the subspace structure, the dispersion choice
+    and one KotzParams per subspace from the (beta, lambda, eta) triple psi.
+    The state is the R factor of the data and the N-sized scratch: with
+    X = X_1..X_M stacked (V x N) and X^T = Q R, the sources
+    Y = blockdiag(W) X are M Q^T with M = blockdiag(W) R^T, so
+    Y Y^T = M M^T and Y X^T = M R need no N-sized product.
 
-    Subspaces with the same per-dataset dimensions and KotzParams form one
-    stack, so position p of every member lies in the same dataset: a stack
-    within one dataset is one product W_m[rows] X_m, any other one product
-    per position. evaluate overwrites the arrays on every call and returns
-    nothing that aliases them; one solve, on one thread, owns one Buffers.
+    Subspaces with the same per-dataset dimensions d_km form one stack, so
+    position p of every member lies in one dataset: a stack within one
+    dataset is one product W_m[rows] X_m, any other one product per
+    position. evaluate overwrites the scratch on every call and returns
+    nothing that aliases it, so a context is not shared across threads.
     """
 
-    def __init__(self, ctx: ObjectiveContext):
+    def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
+                 dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
+                 psi: Sequence[float] = PSI_LAPLACE):
         from scipy.linalg import qr
 
-        P = ctx.assignment
-        off = np.asarray(P.col_offsets)
-        d_km = P.per_dataset_dims()
-        N = ctx.data.n_obs
+        if data.n_datasets != len(assignment.col_dims):
+            raise ShapeError("assignment covers a different number of datasets")
+        self.data = data
+        self.assignment = assignment
+        self.dispersion = dispersion
+        self.kotz = tuple(kotz_from_psi(psi, int(d)) for d in assignment.subspace_dims)
+        self.f_constant = float(sum(p.log_norm_const for p in self.kotz))
+        off = np.asarray(assignment.col_offsets)
+        d_km = assignment.per_dataset_dims()
+        N = data.n_obs
         # F-ordered X^T, factored in place: one V x N copy of the data
-        R = qr(np.vstack(ctx.data.blocks).T, mode="raw", overwrite_a=True,
+        R = qr(np.vstack(data.blocks).T, mode="raw", overwrite_a=True,
                check_finite=False)[1]
-        v_off = np.cumsum([0] + [Xm.shape[0] for Xm in ctx.data.blocks])
+        v_off = np.cumsum([0] + [Xm.shape[0] for Xm in data.blocks])
         self.R_blocks = [np.ascontiguousarray(R[:, a:b])
                          for a, b in zip(v_off[:-1], v_off[1:])]
         members = {}
-        for k, pk in enumerate(ctx.kotz):
-            members.setdefault((tuple(d_km[k]), pk), []).append(k)
-        self.ctx = ctx
+        for k in range(assignment.n_subspaces):
+            members.setdefault(tuple(d_km[k]), []).append(k)
         self.stacks = []
-        for (_, pk), ks in members.items():
-            cols = np.array([P.sources(k) for k in ks])  # (n, d), ascending
+        for ks in members.values():
+            cols = np.array([assignment.sources(k) for k in ks])  # (n, d), ascending
             datasets = np.searchsorted(off, cols[0], side="right") - 1
             n, d = cols.shape
             S, U = np.empty((n, d, N)), np.empty((n, d, N))
@@ -244,7 +212,7 @@ class Buffers:
             else:
                 products = [(int(m), cols[:, p] - off[m], S[:, p], U[:, p])
                             for p, m in enumerate(datasets)]
-            self.stacks.append(_Stack(ks, pk, cols, products, S, U,
+            self.stacks.append(_Stack(ks, self.kotz[ks[0]], cols, products, S, U,
                                       np.empty((n, N)), np.empty((n, N))))
 
 
@@ -254,28 +222,19 @@ def _gram_blocks(YY: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def evaluate(ctx: ObjectiveContext, W: BlockTransform,
-             with_gradient: bool = False,
-             buffers: Optional[Buffers] = None) -> ObjectiveReport:
-    """Objective value (and gradient on request) at the unmixing W.
-
-    The calls of one solve share buffers = Buffers(ctx); without it each
-    call factors the data and allocates its own.
-    """
+             with_gradient: bool = False) -> ObjectiveReport:
+    """Objective value (and gradient on request) at the unmixing W."""
     W.check_unmixing(ctx.data, ctx.assignment)
-    if buffers is None:
-        buffers = Buffers(ctx)
-    elif buffers.ctx is not ctx:
-        raise ShapeError("buffers were built for another ObjectiveContext")
     jd, pinv_t = zip(*(svd_terms(Wm) for Wm in W.blocks))
     X = ctx.data.blocks
     invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
-    M = np.vstack([Wm @ Rm.T for Wm, Rm in zip(W.blocks, buffers.R_blocks)])
+    M = np.vstack([Wm @ Rm.T for Wm, Rm in zip(W.blocks, ctx.R_blocks)])
     YY = M @ M.T
     per_k = np.empty((3, ctx.assignment.n_subspaces))
     if with_gradient:
         grads = [-Pm for Pm in pinv_t]
         H = np.empty_like(M)  # QZ M, subspace by subspace
-    for st in buffers.stacks:
+    for st in ctx.stacks:
         for m, rows, S_view, _ in st.products:
             np.matmul(W.blocks[m][rows], X[m], out=S_view)
         jc, jf, je, QZ = _stack_terms(st.S, _gram_blocks(YY, st.cols), st.pk,
@@ -289,7 +248,7 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     if with_gradient:
         # QZ S X_m^T = (QZ M R)[rows of dataset m, columns of R_m]
         off = ctx.assignment.col_offsets
-        for m, Rm in enumerate(buffers.R_blocks):
+        for m, Rm in enumerate(ctx.R_blocks):
             grads[m] += H[off[m]:off[m + 1]] @ Rm
 
     jd_sum = sum(jd)
@@ -303,12 +262,11 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
 
 
 def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
-                       dispersion: DispersionChoice,
-                       psi: Sequence[float] = PSI_LAPLACE) -> float:
-    """Objective value less J_D from precomputed sources Y = W X: the sum of
-    subspace_value over the subspaces, one stack per dimension, with every
-    Z sliced from one Y Y^T. J_D depends only on W, so candidates at fixed W
-    compare without it."""
+                       dispersion: DispersionChoice) -> float:
+    """Objective value less J_D from precomputed sources Y = W X at the
+    Laplace Kotz parameters: the sum of subspace_value over the subspaces,
+    one stack per dimension, with every Z sliced from one Y Y^T. J_D depends
+    only on W, so candidates at fixed W compare without it."""
     invariant = dispersion is DispersionChoice.SCALE_INVARIANT
     dims = assignment.subspace_dims
     YY = Y @ Y.T
@@ -316,8 +274,7 @@ def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
     for d in np.unique(dims):
         ks = np.flatnonzero(dims == d)
         cols = np.array([assignment.sources(k) for k in ks])
-        shares[ks] = _shares(Y[cols], _gram_blocks(YY, cols),
-                             kotz_from_psi(psi, int(d)), invariant, ks)
+        shares[ks] = _shares(Y[cols], _gram_blocks(YY, cols), invariant, ks)
     return float(sum(shares.tolist()))
 
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import ndtr
-from scipy.stats import laplace
 
 from .errors import DefinitenessError, DomainError, ShapeError
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
@@ -67,7 +65,7 @@ def toeplitz_corr(d: int, rho_max: float, s: float = 1.0) -> np.ndarray:
         raise DomainError(f"rho_max must be in [0, 1), got {rho_max}")
     lags = np.arange(d, dtype=float)
     col = np.where(lags == 0, 1.0, rho_max ** (lags / s))
-    R = toeplitz(col)
+    R = col[np.abs(np.subtract.outer(np.arange(d), np.arange(d)))]
     assert np.all(np.linalg.eigvalsh(R) > 0)
     return R
 
@@ -89,6 +87,11 @@ def sample_mvlaplace(d: int, R: np.ndarray, N: int, seed=0) -> np.ndarray:
     U = G / np.linalg.norm(G, axis=0)
     r = rng.gamma(shape=d, scale=1.0, size=N)
     return (L / np.sqrt(d + 1.0)) @ (U * r)
+
+
+def laplace_ppf(U: np.ndarray, b: float) -> np.ndarray:
+    """Zero-mean Laplace quantiles at U, scale b, as scipy.stats.laplace.ppf."""
+    return np.where(U > 0.5, -np.log(2 * (1 - U)), np.log(2 * U)) * b
 
 
 def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
@@ -130,7 +133,7 @@ def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
         Z = lfilter([1.0], [1.0, -ar_rho], innov, axis=1)
         G = Lj @ Z
         U = np.clip(ndtr(G), 1e-12, 1.0 - 1e-12)
-        X = laplace.ppf(U, loc=0.0, scale=1.0 / np.sqrt(2.0))
+        X = laplace_ppf(U, 1.0 / np.sqrt(2.0))
         draws.append(X)
         corrs.append(np.corrcoef(X))
     med = np.median(np.stack(corrs), axis=0)

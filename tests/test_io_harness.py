@@ -70,6 +70,10 @@ class TestMatrixIO:
             load_matrix(p)
 
 
+# marks a key the test removes
+DROP = object()
+
+
 class TestConfig:
     def base(self):
         return {
@@ -149,6 +153,21 @@ class TestConfig:
     def test_bad_threads_rounds_or_seed(self, kw):
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": "isa2", **kw})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "subspace_dims", DROP), ("sim", "n_obs", "100"),
+        ("sim", "cond_target", "3"), ("optim", "tol_fun", "x"),
+        (None, "instances", "3"), (None, "T", None), (None, "threads", 1.5)],
+        ids=lambda v: v if isinstance(v, str) else None)
+    def test_missing_or_wrong_typed_key_named(self, section, key, value):
+        d = self.base()
+        tree = d if section is None else d.setdefault(section, {})
+        if value is DROP:
+            del tree[key]
+        else:
+            tree[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(d)
 
     def test_bad_optim_knob(self):
         # OptimOptions' own checks (test_optimizer.py) reach config files

@@ -10,10 +10,11 @@ No module-level UPPER_CASE constant in ``src/misa`` goes unread: each is
 read (a bare name or an attribute, not an assignment or an import)
 somewhere in ``src/misa`` or ``tests``.
 
-README.md names no stale code: every backticked snake_case identifier in
-its prose is defined in ``src/misa`` (a function, class, field, assigned
-name or attribute, or a module) or appears there as a string constant.
-File names such as ``records.csv`` are exempt.
+README.md names no stale code: every backticked snake_case or CamelCase
+identifier in its prose is defined in ``src/misa`` (a function, class,
+field, assigned name or attribute, or a module) or appears there as a
+string constant. File names such as ``records.csv`` and the words in
+``NOT_CODE`` are exempt.
 """
 
 import ast
@@ -89,7 +90,10 @@ def test_no_unread_constants():
 
 
 FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "misa", "py", "toml"}
-DOTTED_NAME = re.compile(r"[a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)*")
+DOTTED_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+CAMEL_CASE = re.compile(r"[A-Z][A-Za-z0-9]+")
+# CamelCase words the README uses that name no code
+NOT_CODE = {"NaN", "MISA"}
 
 
 def defined_names(sources: dict) -> set:
@@ -109,24 +113,28 @@ def defined_names(sources: dict) -> set:
 
 
 def readme_names(text: str) -> set:
-    """Backticked snake_case identifiers outside fenced code blocks; a dotted
-    span such as ``harness.solve_instance`` yields each of its parts."""
+    """Backticked snake_case or CamelCase identifiers outside fenced code
+    blocks; a dotted span such as ``harness.solve_instance`` or
+    ``objective.ObjectiveContext`` yields each of its parts."""
     prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     names = set()
     for span in re.findall(r"`([^`\n]+)`", prose):
         parts = span.split(".")
-        if (DOTTED_NAME.fullmatch(span) and "_" in span
+        snake = span.islower() and "_" in span
+        camel = any(CAMEL_CASE.fullmatch(part) for part in parts)
+        if (DOTTED_NAME.fullmatch(span) and (snake or camel)
                 and not (len(parts) > 1 and parts[-1] in FILE_SUFFIXES)):
             names.update(parts)
-    return names
+    return names - NOT_CODE
 
 
 def test_readme_scan():
     text = ("`run_x` and `mod.sub_y`, not `records.csv`, `plain`, `a b_c`\n"
+            "`mod.Klass`, not `NaN`, `MISA`, `T`, `C_m`\n"
             "```\n`in_fence`\n```\n")
-    assert readme_names(text) == {"run_x", "mod", "sub_y"}
-    src = {"mod": "class K:\n    f_x: int = 0\ndef run_x(): return 'sub_y'\n"}
-    assert {"mod", "K", "f_x", "run_x", "sub_y"} <= defined_names(src)
+    assert readme_names(text) == {"run_x", "mod", "sub_y", "Klass"}
+    src = {"mod": "class Klass:\n    f_x: int = 0\ndef run_x(): return 'sub_y'\n"}
+    assert {"mod", "Klass", "f_x", "run_x", "sub_y"} <= defined_names(src)
 
 
 def test_readme_names_defined():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from misa import (
+    PSI_LAPLACE,
     BlockTransform,
     DispersionChoice,
     MultiDataset,
@@ -13,10 +14,10 @@ from misa import (
     random_row_orthonormal,
     relative_gradient,
 )
-from misa import DefinitenessError, ShapeError
-from misa.gradcheck import fd_gradient, max_rel_error
+from misa import DefinitenessError
+from misa.gradcheck import fd_gradient, max_rel_error, random_instance
 from misa.model import chol_pd, logdet_from_chol
-from misa.objective import Buffers, value_from_sources
+from misa.objective import value_from_sources
 from scipy.linalg import cho_solve
 
 
@@ -97,6 +98,11 @@ def small_instance(rng, M=2, C=4, N=400):
     return X, P, W
 
 
+# a Kotz triple with beta != 0.5 and eta != 1, so the np.power and J_F
+# branches of the kernel run
+PSI_GENERAL = (1.3, 0.7, 1.5)
+
+
 class TestJDTerm:
     def test_identity(self):
         assert j_d_term(np.eye(5)) == pytest.approx(0.0)
@@ -128,6 +134,30 @@ class TestGradients:
             rep = evaluate(ctx, W, with_gradient=True)
             num = fd_gradient(lambda Wt: evaluate(ctx, Wt).value, W, step=1e-5)
             assert max_rel_error(rep.gradient, num) < 1e-5
+
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    def test_general_kotz_directional_derivative(self, mode):
+        # Richardson-extrapolated central differences at h = 1e-3 along unit
+        # directions; entrywise differences at step 1e-5 are too noisy for
+        # the log term of J_F
+        rng = np.random.default_rng(0)
+        h = 1e-3
+        for _ in range(5):
+            X, P, W = random_instance(rng, M=int(rng.integers(1, 4)), N=500)
+            ctx = ObjectiveContext(X, P, dispersion=mode, psi=PSI_GENERAL)
+            G = evaluate(ctx, W, with_gradient=True).gradient
+            for _ in range(3):
+                E = [rng.standard_normal(Wm.shape) for Wm in W.blocks]
+                E = [Em / np.sqrt(sum(np.sum(e * e) for e in E)) for Em in E]
+
+                def f(t):
+                    return evaluate(ctx, BlockTransform([Wm + t * Em for Wm, Em
+                                                         in zip(W.blocks, E)])).value
+
+                exact = sum(np.sum(Gm * Em) for Gm, Em in zip(G.blocks, E))
+                c1 = (f(h) - f(-h)) / (2 * h)
+                c2 = (f(h / 2) - f(-h / 2)) / h
+                assert abs((4 * c2 - c1) / 3 - exact) <= 1e-7 * abs(exact)
 
     def test_gradient_near_zero_on_white_data(self):
         # K = C = 2, M = 1, W = I, independent Laplace rows at large N.
@@ -212,11 +242,13 @@ class TestValueProperties:
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("mode", list(DispersionChoice))
-    @pytest.mark.parametrize("M", [1, 2, 3])
-    def test_matches_reference(self, mode, M):
+    @pytest.mark.parametrize("M, psi", [
+        *(pytest.param(M, PSI_LAPLACE, id=str(M)) for M in (1, 2, 3)),
+        *(pytest.param(M, PSI_GENERAL, id=f"{M}-general") for M in (1, 2, 3))])
+    def test_matches_reference(self, mode, M, psi):
         rng = np.random.default_rng(20 + M)
         X, P, W = repeated_dims_instance(rng, M)
-        ctx = ObjectiveContext(X, P, dispersion=mode)
+        ctx = ObjectiveContext(X, P, dispersion=mode, psi=psi)
         rep = evaluate(ctx, W, with_gradient=True)
         value, grads = reference_evaluate(ctx, W)
         assert abs(rep.value - value) <= 1e-12 * abs(value)
@@ -283,13 +315,15 @@ class TestBatchedKernel:
 
 
 class TestBuffers:
+    """The N-sized scratch an ObjectiveContext holds for its solve."""
+
     def test_no_scratch_beyond_sources_and_gradient(self):
         # per stack: the sources S and one (n, d, N) array that holds D^-1 S
         # and then dJ/dS at fixed dispersion; the gradient needs no third
         rng = np.random.default_rng(8)
         X, P, _ = repeated_dims_instance(rng, 3)
         N = X.n_obs
-        for st in Buffers(ObjectiveContext(X, P)).stacks:
+        for st in ObjectiveContext(X, P).stacks:
             big = [a for a in vars(st).values()
                    if isinstance(a, np.ndarray) and a.ndim == 3 and a.shape[-1] == N]
             assert [a.shape for a in big] == [st.S.shape] * 2
@@ -299,25 +333,16 @@ class TestBuffers:
         X, P, W1 = repeated_dims_instance(rng, 3)
         _, _, W2 = repeated_dims_instance(rng, 3)
         ctx = ObjectiveContext(X, P)
-        buffers = Buffers(ctx)
-        reports = [evaluate(ctx, W, with_gradient=True, buffers=buffers)
-                   for W in (W1, W2, W1)]
+        reports = [evaluate(ctx, W, with_gradient=True) for W in (W1, W2, W1)]
         first = [G.copy() for G in reports[0].gradient.blocks]
         for rep, W in zip(reports, (W1, W2, W1)):
-            fresh = evaluate(ctx, W, with_gradient=True)
+            fresh = evaluate(ObjectiveContext(X, P), W, with_gradient=True)
             assert rep.value == fresh.value
             assert rep.terms == fresh.terms
             for G, G_fresh in zip(rep.gradient.blocks, fresh.gradient.blocks):
                 assert np.array_equal(G, G_fresh)
         for G, G0 in zip(reports[0].gradient.blocks, first):
             assert np.array_equal(G, G0)
-
-    def test_other_context_rejected(self):
-        rng = np.random.default_rng(9)
-        X, P, W = small_instance(rng)
-        buffers = Buffers(ObjectiveContext(X, P))
-        with pytest.raises(ShapeError):
-            evaluate(ObjectiveContext(X, P), W, buffers=buffers)
 
 
 class TestValueFromSources:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import laplace
 
+import misa
 from misa import (
     DomainError,
     SimSpec,
@@ -13,6 +19,29 @@ from misa import (
     snr_scale,
     toeplitz_corr,
 )
+from misa.simgen import laplace_ppf
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats adds about a second to every process that imports misa
+    code = ("import sys, misa; print(sorted(m for m in sys.modules"
+            " if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    src = str(Path(misa.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
+
+
+def test_laplace_ppf_bitwise_equal_to_scipy():
+    # 10^6 clipped uniforms, the clip bounds of sample_copula_sources, and
+    # 0.5 with its neighbours either side
+    b = 1.0 / np.sqrt(2.0)
+    lo, hi = 1e-12, 1.0 - 1e-12
+    U = np.concatenate([[lo, hi, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+                        np.clip(np.random.default_rng(17).random(10 ** 6), lo, hi)])
+    assert np.array_equal(laplace_ppf(U, b).view(np.int64),
+                          laplace.ppf(U, loc=0.0, scale=b).view(np.int64))
 
 
 class TestGenMixing:
