@@ -87,6 +87,20 @@ def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> 
     return obj.evaluate(ctx, W).value
 
 
+def _share_cache(Y: np.ndarray):
+    """share(rows): the scale-invariant share of the subspace whose sources
+    are Y[rows], in that order, cached by the row tuple. Y Y^T is formed
+    once, and every Z is sliced from it."""
+    YY = Y @ Y.T
+
+    @functools.lru_cache(maxsize=None)
+    def share(rows: Tuple[int, ...]) -> float:
+        r = list(rows)
+        return obj.subspace_value(Y[r], YY[np.ix_(r, r)])
+
+    return share
+
+
 def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> SubspaceAssignment:
     """Greedy source-group reassignment at fixed W (single dataset).
 
@@ -98,14 +112,7 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> Subspace
     """
     if data.n_datasets != 1:
         raise ShapeError("gp operates on a single dataset")
-    Y = W.transform(data)
-    YY = Y @ Y.T
-
-    @functools.lru_cache(maxsize=None)
-    def cost(group: Tuple[int, ...]) -> float:
-        g = list(group)
-        return obj.subspace_value(Y[g], YY[np.ix_(g, g)], invariant=True)
-
+    cost = _share_cache(W.transform(data))
     groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
     for c in range(P.n_sources):
         if len(groups) == 1:
@@ -170,58 +177,54 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
 
     if not groups:
         return W
-    Y0 = W.transform(data)
+    share = _share_cache(W.transform(data))
 
-    def cost_of(row_orders: List[np.ndarray]) -> float:
-        Y = np.vstack([Y0[off[m]:off[m + 1]][row_orders[m]] for m in range(M)])
-        return obj.value_from_sources(Y, P_ud, DispersionChoice.SCALE_INVARIANT)
+    # a candidate lists, per subspace and dataset, the rows of Y serving it
+    identity = [[tuple((P_ud.dataset_sources(k, m) + off[m]).tolist()) for m in range(M)]
+                for k in range(P_ud.n_subspaces)]
 
-    identity_orders = [np.arange(P_ud.col_dims[m]) for m in range(M)]
+    def cost_of(cand) -> float:
+        return sum(share(sum(parts, ())) for parts in cand)
 
-    def apply_group_perm(orders, m, ks, pi):
+    def apply_group_perm(cand, m, ks, pi):
         # subspace ks[i] takes the rows previously serving ks[pi[i]]
-        new = orders[m].copy()
+        new = [list(parts) for parts in cand]
         for i, k in enumerate(ks):
-            src = ks[pi[i]]
-            new[P_ud.dataset_sources(k, m)] = orders[m][P_ud.dataset_sources(src, m)]
-        out = list(orders)
-        out[m] = new
-        return out
+            new[k][m] = cand[ks[pi[i]]][m]
+        return new
 
-    total = 1
-    for _, _, ks in groups:
-        total *= math.factorial(len(ks))
-    best_orders = identity_orders
-    best_cost = cost_of(best_orders)
-    if total <= EXHAUSTIVE_PERM_LIMIT:
+    best = identity
+    best_cost = cost_of(best)
+    if math.prod(math.factorial(len(ks)) for _, _, ks in groups) <= EXHAUSTIVE_PERM_LIMIT:
         perm_sets = [list(itertools.permutations(range(len(ks)))) for _, _, ks in groups]
         for combo in itertools.product(*perm_sets):
-            orders = identity_orders
+            cand = identity
             for (m, _, ks), pi in zip(groups, combo):
-                orders = apply_group_perm(orders, m, ks, pi)
-            c = cost_of(orders)
+                cand = apply_group_perm(cand, m, ks, pi)
+            c = cost_of(cand)
             if c < best_cost - TIE_EPS:
                 best_cost = c
-                best_orders = orders
+                best = cand
     else:
-        improved = True
-        passes = 0
-        while improved and passes < 10:
+        for _ in range(10):  # passes of pairwise swaps, to a fixed point
             improved = False
-            passes += 1
             for m, _, ks in groups:
-                for i in range(len(ks)):
-                    for j in range(i + 1, len(ks)):
-                        pi = list(range(len(ks)))
-                        pi[i], pi[j] = pi[j], pi[i]
-                        orders = apply_group_perm(best_orders, m, ks, pi)
-                        c = cost_of(orders)
-                        if c < best_cost - TIE_EPS:
-                            best_cost = c
-                            best_orders = orders
-                            improved = True
+                for i, j in itertools.combinations(range(len(ks)), 2):
+                    pi = list(range(len(ks)))
+                    pi[i], pi[j] = pi[j], pi[i]
+                    cand = apply_group_perm(best, m, ks, pi)
+                    c = cost_of(cand)
+                    if c < best_cost - TIE_EPS:
+                        best_cost = c
+                        best = cand
+                        improved = True
+            if not improved:
+                break
 
-    return BlockTransform([W.blocks[m][best_orders[m]] for m in range(M)])
+    order = np.empty(P_ud.n_sources, dtype=int)
+    for k, parts in enumerate(best):
+        order[P_ud.sources(k)] = sum(parts, ())
+    return BlockTransform([W.blocks[m][order[off[m]:off[m + 1]] - off[m]] for m in range(M)])
 
 
 def _tied(v: float, ref: float) -> bool:
@@ -256,7 +259,6 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
     vals = [cost_value(data, P_ud, sol0.W_final)]
     sols = [sol0]
     W = sol0.W_final
-    off = P_ud.col_offsets
     for t in range(1, T + 1):
         blocks = []
         for m in range(data.n_datasets):
@@ -265,8 +267,7 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
             P_sdu = SubspaceAssignment.singletons([C_m])
             sol_m = run_misa(data_m, P_sdu, BlockTransform([W.blocks[m]]), opts=opts)
             P_est = gp(data_m, P_sdu, sol_m.W_final)
-            P_ud_m = np.asarray(P_ud.P[:, off[m]:off[m + 1]])
-            order = match(P_est, P_ud_m)
+            order = match(P_est, P_ud.dataset_block(m))
             blocks.append(sol_m.W_final.blocks[0][order])
         W = subspace_perm(data, P_ud, BlockTransform(blocks))
         sol_t = run_misa(data, P_ud, W, opts=opts)

@@ -125,22 +125,16 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
     return jc, jf, je, QZ
 
 
-def _shares(S: np.ndarray, Z: np.ndarray, invariant: bool, ks) -> np.ndarray:
-    """Per-member 0.5 J_C - J_F + J_E minus the Kotz log normalizer, at the
-    Laplace Kotz parameters every scorer uses."""
-    n, d, N = S.shape
+def subspace_value(Yk: np.ndarray, Zk: np.ndarray) -> float:
+    """One subspace's share of the scale-invariant Laplace objective from its
+    sources Yk (d, N) and Zk = Yk Yk^T: 0.5 J_C - J_F + J_E minus its Kotz log
+    normalizer. The objective is the sum of these less J_D, so a change of
+    assignment at fixed W moves only the shares it touches."""
+    d, N = Yk.shape
     pk = kotz_from_psi(PSI_LAPLACE, d)
-    jc, jf, je, _ = _stack_terms(S, Z, pk, invariant, ks, np.empty_like(S),
-                                 np.empty((n, N)), np.empty((n, N)))
-    return 0.5 * jc - jf + je - pk.log_norm_const
-
-
-def subspace_value(Yk: np.ndarray, Zk: np.ndarray, invariant: bool) -> float:
-    """One subspace's share of the Laplace objective from its sources Yk and
-    Zk = Yk Yk^T: 0.5 J_C - J_F + J_E minus its Kotz log normalizer. The
-    objective is the sum of these less J_D, so a change of assignment at
-    fixed W moves only the shares it touches."""
-    return float(_shares(Yk[None], Zk[None], invariant, None)[0])
+    jc, jf, je, _ = _stack_terms(Yk[None], Zk[None], pk, True, None,
+                                 np.empty((1, d, N)), np.empty((1, N)), np.empty((1, N)))
+    return float((0.5 * jc - jf + je - pk.log_norm_const)[0])
 
 
 @dataclass
@@ -261,21 +255,15 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     return ObjectiveReport(value=float(value), terms=terms, gradient=gradient)
 
 
-def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment,
-                       dispersion: DispersionChoice) -> float:
-    """Objective value less J_D from precomputed sources Y = W X at the
-    Laplace Kotz parameters: the sum of subspace_value over the subspaces,
-    one stack per dimension, with every Z sliced from one Y Y^T. J_D depends
-    only on W, so candidates at fixed W compare without it."""
-    invariant = dispersion is DispersionChoice.SCALE_INVARIANT
-    dims = assignment.subspace_dims
+def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment) -> float:
+    """Scale-invariant objective value less J_D from precomputed sources
+    Y = W X: the sum of subspace_value over the subspaces in k order, with
+    every Z sliced from one Y Y^T. J_D depends only on W, so candidates at
+    fixed W compare without it. No solver calls it; the tests keep it as the
+    full-rescoring reference, and perfbench/tracer.py wraps it by name."""
     YY = Y @ Y.T
-    shares = np.empty(len(dims))
-    for d in np.unique(dims):
-        ks = np.flatnonzero(dims == d)
-        cols = np.array([assignment.sources(k) for k in ks])
-        shares[ks] = _shares(Y[cols], _gram_blocks(YY, cols), invariant, ks)
-    return float(sum(shares.tolist()))
+    return sum(subspace_value(Y[idx], YY[np.ix_(idx, idx)])
+               for idx in map(assignment.sources, range(assignment.n_subspaces)))
 
 
 def relative_gradient(grad: BlockTransform, W: BlockTransform) -> BlockTransform:

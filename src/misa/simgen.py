@@ -57,15 +57,14 @@ def snr_scale(A: np.ndarray, V: int, snr_db: float) -> float:
     return float(np.sqrt(np.trace(A @ A.T) / (V * (snr - 1.0))))
 
 
-def toeplitz_corr(d: int, rho_max: float, s: float = 1.0) -> np.ndarray:
-    """Geometric-decay correlation matrix R[i][j] = rho_max^(|i-j|/s)."""
+def toeplitz_corr(d: int, rho_max: float) -> np.ndarray:
+    """Geometric-decay correlation matrix R[i][j] = rho_max^|i-j|."""
     if d < 1:
         raise DomainError("need d >= 1")
     if not (0.0 <= rho_max < 1.0):
         raise DomainError(f"rho_max must be in [0, 1), got {rho_max}")
     lags = np.arange(d, dtype=float)
-    col = np.where(lags == 0, 1.0, rho_max ** (lags / s))
-    R = col[np.abs(np.subtract.outer(np.arange(d), np.arange(d)))]
+    R = rho_max ** np.abs(np.subtract.outer(lags, lags))
     assert np.all(np.linalg.eigvalsh(R) > 0)
     return R
 
@@ -182,14 +181,11 @@ class SimSpec:
             raise DomainError("need at least 2 observations")
         if self.family not in ("mvlaplace", "copula"):
             raise DomainError(f"unknown source family {self.family!r}")
-
-    @property
-    def n_datasets(self) -> int:
-        return self.subspace_dims.shape[1]
-
-    @property
-    def n_subspaces(self) -> int:
-        return self.subspace_dims.shape[0]
+        for name, count, per in (("cond_target", M, "dataset"), ("rho_max", K, "subspace")):
+            value = getattr(self, name)
+            if not np.isscalar(value) and len(value) != count:
+                raise ShapeError(f"{name} needs one entry per {per} ({count}), "
+                                 f"got {len(value)}")
 
     def cond_for(self, m: int) -> float:
         if np.isscalar(self.cond_target):

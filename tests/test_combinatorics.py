@@ -1,11 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from misa import (
     BlockTransform,
-    DispersionChoice,
     OptimOptions,
     ShapeError,
     SimSpec,
@@ -21,7 +21,7 @@ from misa import (
 )
 from misa import combinatorics
 from misa.combinatorics import TIE_EPS, cost_value
-from misa.objective import value_from_sources
+from misa.objective import subspace_value, value_from_sources
 from misa.optimizer import Solution, Status
 
 OPTS = OptimOptions(tol_fun=1e-8)
@@ -167,7 +167,7 @@ def reference_gp(data, P, W):
 
     def score(Pmat):
         sa = SubspaceAssignment(Pmat[Pmat.sum(axis=1) > 0], P.col_dims)
-        return value_from_sources(Y, sa, DispersionChoice.SCALE_INVARIANT)
+        return value_from_sources(Y, sa)
 
     Pcur = np.asarray(P.P).copy()
     for c in range(C):
@@ -320,11 +320,11 @@ class TestSubspacePerm:
     def test_single_dataset_groups_skipped(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(Yk, Zk):
             calls.append(1)
-            return value_from_sources(*args, **kwargs)
+            return subspace_value(Yk, Zk)
 
-        monkeypatch.setattr(combinatorics.obj, "value_from_sources", counting)
+        monkeypatch.setattr(combinatorics.obj, "subspace_value", counting)
         # M = 1, equal sizes: every swap is a relabelling, so W comes back as is
         data, truth, P = isa_instance()
         rng = np.random.default_rng(4)
@@ -340,7 +340,9 @@ class TestSubspacePerm:
         W = [np.linalg.inv(A) for A in truth.A.blocks]
         W_sw = BlockTransform([W[0][[2, 1, 0]], W[1]])  # swap subspaces 0 and 2
         out = subspace_perm(data, P, W_sw)
-        assert len(calls) == 1 + 6  # the identity, then all 3! orders
+        # all 3! orders are scored, each subspace's rows once: subspaces 0
+        # and 1 take row 0, 1 or 2, subspace 2 that row and row 3
+        assert len(calls) == 6
         assert cost_value(data, P, out) < cost_value(data, P, W_sw) - TIE_EPS
 
     def test_distinct_sizes_identity(self):
@@ -392,3 +394,115 @@ class TestSubspacePerm:
         W = BlockTransform([random_row_orthonormal(4, 4, rng) for _ in range(2)])
         out = subspace_perm(data, P, W)
         assert cost_value(data, P, out) <= cost_value(data, P, W) + TIE_EPS
+
+
+def reference_subspace_perm(data, P, W):
+    """The earlier subspace_perm, kept as the reference: every candidate is
+    a row order per dataset, scored by value_from_sources over all K
+    subspaces of the permuted sources."""
+    M = data.n_datasets
+    d_km = P.per_dataset_dims()
+    off = P.col_offsets
+    groups = []
+    for m in range(M):
+        by_size = {}
+        for k in range(P.n_subspaces):
+            if d_km[k, m] > 0:
+                by_size.setdefault(int(d_km[k, m]), []).append(k)
+        groups += [(m, ks) for _, ks in sorted(by_size.items())
+                   if len(ks) >= 2 and any(np.count_nonzero(d_km[k]) > 1 for k in ks)]
+    if not groups:
+        return W
+    Y0 = W.transform(data)
+
+    def cost_of(orders):
+        Y = np.vstack([Y0[off[m]:off[m + 1]][orders[m]] for m in range(M)])
+        return value_from_sources(Y, P)
+
+    def apply(orders, m, ks, pi):
+        new = orders[m].copy()
+        for i, k in enumerate(ks):
+            new[P.dataset_sources(k, m)] = orders[m][P.dataset_sources(ks[pi[i]], m)]
+        return orders[:m] + [new] + orders[m + 1:]
+
+    identity = [np.arange(c) for c in P.col_dims]
+    best, best_cost = identity, cost_of(identity)
+    if math.prod(math.factorial(len(ks)) for _, ks in groups) <= combinatorics.EXHAUSTIVE_PERM_LIMIT:
+        for combo in itertools.product(*[itertools.permutations(range(len(ks)))
+                                         for _, ks in groups]):
+            orders = identity
+            for (m, ks), pi in zip(groups, combo):
+                orders = apply(orders, m, ks, pi)
+            c = cost_of(orders)
+            if c < best_cost - TIE_EPS:
+                best, best_cost = orders, c
+    else:
+        for _ in range(10):
+            improved = False
+            for m, ks in groups:
+                for i, j in itertools.combinations(range(len(ks)), 2):
+                    pi = list(range(len(ks)))
+                    pi[i], pi[j] = pi[j], pi[i]
+                    orders = apply(best, m, ks, pi)
+                    c = cost_of(orders)
+                    if c < best_cost - TIE_EPS:
+                        best, best_cost, improved = orders, c, True
+            if not improved:
+                break
+    return BlockTransform([W.blocks[m][best[m]] for m in range(M)])
+
+
+class TestSubspacePermMatchesReference:
+    """subspace_perm scores a candidate through cached per-subspace shares;
+    it must return the same W, bit for bit, as rescoring every candidate in
+    full."""
+
+    EXHAUSTIVE = {
+        "iva": [[1, 1]] * 3,
+        "isa3": [[2, 1], [2, 1], [1, 3]],
+        "overlapping": [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    }
+
+    def instance(self, dims, seed):
+        dims = np.array(dims)
+        spec = SimSpec(subspace_dims=dims, dims_v=dims.sum(axis=0), n_obs=1000,
+                       cond_target=2.0, rho_max=0.6, seed=seed)
+        data, truth, P = build_instance(spec)
+        # the true unmixing with same-size subspaces shuffled in each dataset
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for m, A in enumerate(truth.A.blocks):
+            order = np.arange(len(A))
+            for size in set(dims[:, m].tolist()) - {0}:
+                ks = np.flatnonzero(dims[:, m] == size)
+                for k, k_from in zip(ks, rng.permutation(ks)):
+                    order[P.dataset_sources(k, m)] = P.dataset_sources(k_from, m)
+            blocks.append(np.linalg.inv(A)[order])
+        return data, P, BlockTransform(blocks)
+
+    def assert_bit_equal(self, data, P, W):
+        out = subspace_perm(data, P, W)
+        ref = reference_subspace_perm(data, P, W)
+        for a, b in zip(out.blocks, ref.blocks):
+            np.testing.assert_array_equal(a, b)
+        return out
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["exhaustive", "greedy"])
+    @pytest.mark.parametrize("name", list(EXHAUSTIVE))
+    def test_small_shapes(self, name, greedy, monkeypatch):
+        if greedy:
+            monkeypatch.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
+        moved = 0
+        for seed in range(3):
+            data, P, W = self.instance(self.EXHAUSTIVE[name], seed)
+            out = self.assert_bit_equal(data, P, W)
+            moved += any(not np.array_equal(a, b) for a, b in zip(out.blocks, W.blocks))
+        assert moved  # the search changes W on some instance
+
+    def test_greedy_path(self):
+        # 8 subspaces of one source in each of 3 datasets: 8!^3 orders, so
+        # the search takes the greedy swaps
+        data, P, W = self.instance([[1, 1, 1]] * 8, seed=0)
+        assert math.factorial(8) ** 3 > combinatorics.EXHAUSTIVE_PERM_LIMIT
+        out = self.assert_bit_equal(data, P, W)
+        assert any(not np.array_equal(a, b) for a, b in zip(out.blocks, W.blocks))

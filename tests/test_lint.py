@@ -10,6 +10,10 @@ No module-level UPPER_CASE constant in ``src/misa`` goes unread: each is
 read (a bare name or an attribute, not an assignment or an import)
 somewhere in ``src/misa`` or ``tests``.
 
+No parameter with a default, of a function in ``src/misa``, goes unpassed:
+some call in ``src/misa``, ``tests`` or ``perfbench`` passes it, by keyword
+or by position.
+
 README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
@@ -141,3 +145,67 @@ def test_readme_names_defined():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
     names = readme_names((ROOT / "README.md").read_text())
     assert sorted(names - defined_names(sources)) == []
+
+
+def unpassed_defaults(defining: dict, calling: list) -> list:
+    """(module, function, parameter) for each parameter with a default, of a
+    function in the modules {stem: source} of ``defining``, that no call in
+    the sources ``calling`` passes by keyword or by position. Calls match
+    definitions by name: an import alias resolves to the imported name, and
+    a class name to its ``__init__``. A call with ``*args`` passes every
+    positional parameter, and one with ``**kwargs`` every keyword."""
+    positional, keywords = {}, {}
+    for source in calling:
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                 for a in n.names if a.asname}
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            name = alias.get(name, name)
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            positional[name] = max(positional.get(name, 0), n_pos)
+            kws = keywords.setdefault(name, set())
+            kws.update(k.arg for k in call.keywords)  # None for **kwargs
+    unpassed = []
+    for stem, source in defining.items():
+        tree = ast.parse(source)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
+            params = fn.args.posonlyargs + fn.args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            if id(fn) in owner and not static:
+                params = params[1:]
+            n_req = len(params) - len(fn.args.defaults)
+            kws = keywords.get(name, set())
+            for i, p in enumerate(params[n_req:], start=n_req):
+                if positional.get(name, 0) <= i and p.arg not in kws and None not in kws:
+                    unpassed.append((stem, name, p.arg))
+            for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if d is not None and p.arg not in kws and None not in kws:
+                    unpassed.append((stem, name, p.arg))
+    return sorted(unpassed)
+
+
+def test_default_scan():
+    mod = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+           "def g(x=0): pass\n"
+           "class K:\n    def __init__(self, u, v=1): pass\n"
+           "    def m(self, w=1): pass\n"
+           "    @staticmethod\n    def s(z=1): pass\n")
+    use = ("from mod import g as h\nf(0, 1, e=5)\nh(*xs)\nK(0)\nk.m(2)\n"
+           "k.s()\n'f(0, 1, 2, d=1)'\n")
+    assert unpassed_defaults({"mod": mod}, [mod, use]) == [
+        ("mod", "K", "v"), ("mod", "f", "c"), ("mod", "f", "d"), ("mod", "s", "z")]
+    assert unpassed_defaults({"mod": "def f(a=1): pass\n"}, ["f(**kw)\n"]) == []
+
+
+def test_no_unpassed_defaults():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
+    calling = [p.read_text() for p in [*FILES, *(ROOT / "perfbench").glob("*.py")]]
+    assert unpassed_defaults(sources, calling) == []

@@ -11,6 +11,7 @@ from scipy.stats import laplace
 import misa
 from misa import (
     DomainError,
+    ShapeError,
     SimSpec,
     build_instance,
     gen_mixing,
@@ -202,7 +203,6 @@ class TestCopulaSources:
 
 class TestSimSpec:
     def test_validation(self):
-        from misa import ShapeError
         with pytest.raises(DomainError):
             SimSpec(subspace_dims=np.array([[0], [0]]), dims_v=[2], n_obs=100,
                     cond_target=2.0)  # empty subspace
@@ -213,11 +213,21 @@ class TestSimSpec:
             SimSpec(subspace_dims=np.array([[1], [1]]), dims_v=[2, 2], n_obs=100,
                     cond_target=2.0)  # dims_v length != M
 
-    def test_properties(self):
-        spec = SimSpec(subspace_dims=np.array([[1, 2], [2, 1]]), dims_v=[4, 4],
-                       n_obs=100, cond_target=3.0)
-        assert spec.n_datasets == 2
-        assert spec.n_subspaces == 2
+    @pytest.mark.parametrize("field, values, count", [
+        ("cond_target", [2.0], 2), ("cond_target", [2.0, 2.0, 2.0], 2),
+        ("rho_max", [0.3, 0.3], 3), ("rho_max", [0.3] * 4, 3)],
+        ids=["cond_target-short", "cond_target-long", "rho_max-short", "rho_max-long"])
+    def test_list_length_checked(self, field, values, count):
+        # K = 3 subspaces over M = 2 datasets
+        with pytest.raises(ShapeError, match=rf"{field} needs one entry per \w+ \({count}\)"):
+            SimSpec(subspace_dims=np.array([[1, 1], [1, 0], [0, 1]]), dims_v=[2, 2],
+                    n_obs=100, **{field: values})
+
+    def test_matching_lists_accepted(self):
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0], [0, 1]]), dims_v=[2, 2],
+                       n_obs=100, cond_target=[2.0, 3.0], rho_max=[0.3, 0.4, 0.5])
+        assert [spec.cond_for(m) for m in range(2)] == [2.0, 3.0]
+        assert [spec.rho_for(k) for k in range(3)] == [0.3, 0.4, 0.5]
 
 
 class TestBuildInstance:
