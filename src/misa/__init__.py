@@ -32,7 +32,6 @@ from .objective import (
     ObjectiveContext,
     ObjectiveReport,
     evaluate,
-    j_d_term,
     relative_gradient,
 )
 from .optimizer import (

@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ShapeError
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
@@ -36,6 +34,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ShapeError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise DomainError("cost entries must be finite")
+    # imported here, so that `import misa` loads no scipy module
+    from scipy.optimize import linear_sum_assignment
+
     return linear_sum_assignment(cost)[1]
 
 
@@ -78,13 +79,6 @@ def match(P_est, P_ud) -> np.ndarray:
     used = set(order)
     order.extend(c for c in range(C) if c not in used)
     return np.asarray(order, dtype=int)
-
-
-def cost_value(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> float:
-    """Scale-invariant objective value at W, used to score assignment
-    candidates."""
-    ctx = obj.ObjectiveContext(data, P, DispersionChoice.SCALE_INVARIANT)
-    return obj.evaluate(ctx, W).value
 
 
 def _share_cache(Y: np.ndarray):
@@ -234,46 +228,36 @@ def _tied(v: float, ref: float) -> bool:
     return abs(v - ref) <= TIE_EPS * (1.0 + abs(ref))
 
 
-def _pick_best(sols: List[opt.Solution], vals: List[float]) -> opt.Solution:
-    """The stored candidate with the lowest score, reported with that score.
-    A later candidate displaces the kept one only when lower and not tied
-    with it."""
-    ix = 0
-    for i, v in enumerate(vals):
-        if v < vals[ix] and not _tied(v, vals[ix]):
-            ix = i
-    return replace(sols[ix], objective_value=float(vals[ix]))
-
-
 def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
                 W0: BlockTransform, T: int = 2,
                 opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
     """MISA-GP driver for any number of datasets M, M = 1 included:
     per-dataset unidimensional refinement + greedy reassignment + matching,
     cross-dataset subspace realignment, then joint re-optimization; best
-    stored candidate wins. Every candidate, the first included, is scored
-    with the scale-invariant cost_value. The loop stops after a round t >= 2
-    whose value ties round t - 1's.
+    stored candidate wins. Every candidate (the first solve and each round's
+    joint solve) minimizes the same objective over P_ud, so candidates are
+    compared by the objective_value of their solves: a later one displaces
+    the kept one only when lower and not tied with it. The loop stops after
+    a round t >= 2 whose value ties round t - 1's.
     """
-    sol0 = run_misa(data, P_ud, W0, opts=opts)
-    vals = [cost_value(data, P_ud, sol0.W_final)]
-    sols = [sol0]
-    W = sol0.W_final
+    best = prev = run_misa(data, P_ud, W0, opts=opts)
     for t in range(1, T + 1):
         blocks = []
         for m in range(data.n_datasets):
             data_m = MultiDataset([data.blocks[m]])
             C_m = P_ud.col_dims[m]
             P_sdu = SubspaceAssignment.singletons([C_m])
-            sol_m = run_misa(data_m, P_sdu, BlockTransform([W.blocks[m]]), opts=opts)
+            sol_m = run_misa(data_m, P_sdu, BlockTransform([prev.W_final.blocks[m]]),
+                             opts=opts)
             P_est = gp(data_m, P_sdu, sol_m.W_final)
             order = match(P_est, P_ud.dataset_block(m))
             blocks.append(sol_m.W_final.blocks[0][order])
         W = subspace_perm(data, P_ud, BlockTransform(blocks))
-        sol_t = run_misa(data, P_ud, W, opts=opts)
-        W = sol_t.W_final
-        vals.append(cost_value(data, P_ud, W))
-        sols.append(sol_t)
-        if t >= 2 and _tied(vals[t], vals[t - 1]):
+        sol = run_misa(data, P_ud, W, opts=opts)
+        v = sol.objective_value
+        if v < best.objective_value and not _tied(v, best.objective_value):
+            best = sol
+        if t >= 2 and _tied(v, prev.objective_value):
             break
-    return _pick_best(sols, vals)
+        prev = sol
+    return best

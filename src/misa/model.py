@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DefinitenessError, DomainError, ShapeError
 
@@ -92,6 +91,9 @@ class KotzParams:
     @property
     def log_norm_const(self) -> float:
         """Log of the density normalizer, everything except the D and q terms."""
+        # imported here, so that `import misa` loads no scipy module
+        from scipy.special import gammaln
+
         return (
             np.log(self.beta)
             + self.nu * np.log(self.lamb)
@@ -114,6 +116,8 @@ def derive_kotz(beta: float, lamb: float, eta: float, d: int) -> KotzParams:
     nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
     if nu <= 0:
         raise DomainError(f"derived nu must be > 0, got {nu}")
+    from scipy.special import gammaln
+
     # alpha = Gamma(nu + 1/beta) / (lambda^{1/beta} d Gamma(nu)), in log space
     log_alpha = gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - gammaln(nu)
     return KotzParams(beta=float(beta), lamb=float(lamb), eta=float(eta), d=int(d),

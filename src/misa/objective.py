@@ -44,11 +44,6 @@ def svd_terms(W_m: np.ndarray):
     return float(np.sum(np.log(s))), (U / s) @ Vt
 
 
-def j_d_term(W_m: np.ndarray) -> float:
-    """Sum of log singular values of W_m; ln|det W_m| in the square case."""
-    return svd_terms(W_m)[0]
-
-
 @dataclass(frozen=True)
 class ObjectiveReport:
     value: float

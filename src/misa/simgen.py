@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DefinitenessError, DomainError, ShapeError
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
@@ -116,8 +115,9 @@ def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
         raise DomainError("ar_rho must be in [0, 1)")
     if n_draws < 1:
         raise DomainError("need at least one draw")
-    # imported here: scipy.signal adds ~0.15 s to every `import misa`
+    # imported here, so that `import misa` loads no scipy module
     from scipy.signal import lfilter
+    from scipy.special import ndtr
 
     rng = _rng_of(seed)
 
@@ -147,7 +147,8 @@ class SimSpec:
     subspace_dims is the K x M matrix d_km: sources of subspace k living in
     dataset m; per-dataset source counts C_m are its column sums. cond_target
     and rho_max may be scalars or per-dataset / per-subspace sequences.
-    snr_db = inf means noiseless.
+    snr_db = inf means noiseless. A generator parameter out of its range
+    raises a DomainError naming the field.
     """
 
     subspace_dims: np.ndarray
@@ -186,6 +187,15 @@ class SimSpec:
             if not np.isscalar(value) and len(value) != count:
                 raise ShapeError(f"{name} needs one entry per {per} ({count}), "
                                  f"got {len(value)}")
+        # each test is false for NaN, so NaN is rejected too
+        for name, ok, want in (("rho_max", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                               ("cond_target", lambda v: v >= 1.0, ">= 1"),
+                               ("snr_db", lambda v: v > 0.0, "> 0 (inf for noiseless)"),
+                               ("ar_rho", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                               ("copula_draws", lambda v: v >= 1, ">= 1")):
+            for v in np.ravel(getattr(self, name)):
+                if not ok(v):
+                    raise DomainError(f"{name} must be {want}, got {v}")
 
     def cond_for(self, m: int) -> float:
         if np.isscalar(self.cond_target):

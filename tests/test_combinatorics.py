@@ -20,11 +20,18 @@ from misa import (
     subspace_perm,
 )
 from misa import combinatorics
-from misa.combinatorics import TIE_EPS, cost_value
-from misa.objective import subspace_value, value_from_sources
+from misa.combinatorics import TIE_EPS
+from misa.objective import ObjectiveContext, evaluate, subspace_value, value_from_sources
 from misa.optimizer import Solution, Status
 
 OPTS = OptimOptions(tol_fun=1e-8)
+
+
+def fixed_w_cost(data, P, W):
+    """The scale-invariant objective at W less J_D: J_D is the same for every
+    assignment at one W and for row permutations of W, so this ranks the
+    candidates of gp and subspace_perm as the full objective does."""
+    return value_from_sources(W.transform(data), P)
 
 
 def brute_force_assignment(cost):
@@ -128,7 +135,7 @@ class TestGp:
         assert partition(out) == {frozenset({0, 1}), frozenset({2, 3})}
         # brute force over all 15 partitions of 4 sources confirms the optimum
         best = min(all_partitions(4),
-                   key=lambda q: cost_value(data, from_partition(q), W))
+                   key=lambda q: fixed_w_cost(data, from_partition(q), W))
         assert partition(out) == frozenset(frozenset(g) for g in best)
 
     def test_independent_sources_stay_singletons(self):
@@ -146,7 +153,7 @@ class TestGp:
             W = BlockTransform([random_row_orthonormal(4, 4, rng)])
             P0 = SubspaceAssignment.singletons([4])
             out = gp(data, P0, W)
-            assert cost_value(data, out, W) <= cost_value(data, P0, W) + TIE_EPS
+            assert fixed_w_cost(data, out, W) <= fixed_w_cost(data, P0, W) + TIE_EPS
 
     def test_output_well_formed(self):
         rng = np.random.default_rng(4)
@@ -266,54 +273,81 @@ class TestDrivers:
                                       sol_plain.W_final.blocks[0])
 
     def test_mdm_never_worse_than_plain(self):
+        # the driver's first candidate is the plain solve itself
         data, truth, P = isa_instance()
         for seed in range(3):
             rng = np.random.default_rng(seed)
             W0 = BlockTransform([random_row_orthonormal(4, 4, rng)])
             sol_plain = run_misa(data, P, W0, opts=OPTS)
             sol_gp = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
-            c_plain = cost_value(data, P, sol_plain.W_final)
-            assert sol_gp.objective_value == cost_value(data, P, sol_gp.W_final)
-            assert sol_gp.objective_value <= c_plain + TIE_EPS * (1.0 + abs(c_plain))
+            assert sol_gp.objective_value <= sol_plain.objective_value
 
-    def test_mdm_scores_every_candidate_with_cost_value(self, monkeypatch):
+    def test_mdm_returns_best_candidate_solve(self, monkeypatch):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
                        n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
         data, truth, P = build_instance(spec)
         rng = np.random.default_rng(2)
         W0 = BlockTransform([random_row_orthonormal(3, 3, rng) for _ in range(2)])
-        seen = []
+        candidates = []
 
-        def pick_best(sols, vals):
-            seen.append((list(sols), list(vals)))
-            return pick_best.original(sols, vals)
+        def recording(data_, P_, W_, **kw):
+            sol = run_misa(data_, P_, W_, **kw)
+            if P_ is P:  # the first solve and each round's joint solve
+                candidates.append(sol)
+            return sol
 
-        pick_best.original = combinatorics._pick_best
-        monkeypatch.setattr(combinatorics, "_pick_best", pick_best)
+        monkeypatch.setattr(combinatorics, "run_misa", recording)
         sol = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
-        (sols, vals), = seen
-        assert len(vals) >= 2
-        assert vals == [cost_value(data, P, s.W_final) for s in sols]
-        assert sol.objective_value in vals
+        assert len(candidates) >= 2
+        best = candidates[0]
+        for c in candidates[1:]:
+            if (c.objective_value < best.objective_value
+                    and not combinatorics._tied(c.objective_value, best.objective_value)):
+                best = c
+        # the solve itself, reported with the value it minimized
+        assert sol is best
+        assert sol.objective_value == evaluate(ObjectiveContext(data, P), sol.W_final).value
+
+    @staticmethod
+    def scripted(monkeypatch, P_ud, values):
+        """Replace run_misa by a stub that returns W0 unchanged; the joint
+        solves over P_ud report the given values in turn, and n_iters holds
+        each joint solve's index."""
+        vals = iter(values)
+        joint = itertools.count()
+
+        def fake(data, P, W0, **kw):
+            if P is not P_ud:
+                return Solution(W_final=W0, objective_value=0.0,
+                                status=Status.CONVERGED_FUN, trace=[], n_iters=-1,
+                                n_evals=0)
+            return Solution(W_final=W0, objective_value=next(vals),
+                            status=Status.CONVERGED_FUN, trace=[],
+                            n_iters=next(joint), n_evals=0)
+
+        monkeypatch.setattr(combinatorics, "run_misa", fake)
+        return vals
 
     def test_mdm_stops_on_relative_tie(self, monkeypatch):
         # rounds 1 and 2 differ by 1e-6, far above TIE_EPS in absolute terms
         # but a tie relative to 1e3: the loop stops before round 3
         data, truth, P = isa_instance()
         W0 = BlockTransform([random_row_orthonormal(4, 4, np.random.default_rng(0))])
-        vals = iter([1e3 + 1.0, 1e3, 1e3 + 1e-6, 0.0])
-        monkeypatch.setattr(combinatorics, "cost_value", lambda *a, **k: next(vals))
+        vals = self.scripted(monkeypatch, P, [1e3 + 1.0, 1e3, 1e3 + 1e-6, 0.0])
         sol = misa_gp_mdm(data, P, W0, T=3, opts=OPTS)
-        assert sol.objective_value == 1e3
+        assert (sol.n_iters, sol.objective_value) == (1, 1e3)
         assert next(vals) == 0.0
 
-    def test_pick_best_keeps_earliest_of_tied_candidates(self):
-        sols = [Solution(W_final=i, objective_value=0.0, status=Status.CONVERGED_FUN,
-                         trace=[], n_iters=0, n_evals=0) for i in range(3)]
+    def test_mdm_keeps_earliest_of_tied_candidates(self, monkeypatch):
+        data, truth, P = isa_instance()
+        W0 = BlockTransform([random_row_orthonormal(4, 4, np.random.default_rng(0))])
         # 9.0 + 4e-8 ties 9.0 (within TIE_EPS relative); 8.9 beats both
-        assert combinatorics._pick_best(sols[:2], [9.0 + 4e-8, 9.0]).W_final == 0
-        best = combinatorics._pick_best(sols, [9.0 + 4e-8, 9.0, 8.9])
-        assert (best.W_final, best.objective_value) == (2, 8.9)
+        self.scripted(monkeypatch, P, [9.0 + 4e-8, 9.0])
+        sol = misa_gp_mdm(data, P, W0, T=1, opts=OPTS)
+        assert (sol.n_iters, sol.objective_value) == (0, 9.0 + 4e-8)
+        self.scripted(monkeypatch, P, [9.0 + 4e-8, 9.0, 8.9])
+        sol = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+        assert (sol.n_iters, sol.objective_value) == (2, 8.9)
 
 
 class TestSubspacePerm:
@@ -343,7 +377,7 @@ class TestSubspacePerm:
         # all 3! orders are scored, each subspace's rows once: subspaces 0
         # and 1 take row 0, 1 or 2, subspace 2 that row and row 3
         assert len(calls) == 6
-        assert cost_value(data, P, out) < cost_value(data, P, W_sw) - TIE_EPS
+        assert fixed_w_cost(data, P, out) < fixed_w_cost(data, P, W_sw) - TIE_EPS
 
     def test_distinct_sizes_identity(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
@@ -360,13 +394,13 @@ class TestSubspacePerm:
         data, truth, P = build_instance(spec)
         W = [np.linalg.inv(A) for A in truth.A.blocks]
         W_sw = [W[0][[1, 0]], W[1]]  # swap the two subspaces in dataset 0 only
-        c_bad = cost_value(data, P, BlockTransform(W_sw))
+        c_bad = fixed_w_cost(data, P, BlockTransform(W_sw))
         out = subspace_perm(data, P, BlockTransform(W_sw))
-        c_fixed = cost_value(data, P, out)
+        c_fixed = fixed_w_cost(data, P, out)
         assert c_fixed < c_bad - TIE_EPS
         # the optimum is label-degenerate: either un-swap dataset 0 or swap
         # dataset 1 to match; both align the subspaces across datasets
-        c_ref = cost_value(data, P, BlockTransform(W))
+        c_ref = fixed_w_cost(data, P, BlockTransform(W))
         assert c_fixed == pytest.approx(c_ref, abs=1e-8)
 
     def test_exhaustive_greedy_agree(self, monkeypatch):
@@ -382,8 +416,8 @@ class TestSubspacePerm:
             with monkeypatch.context() as mp:
                 mp.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
                 out_g = subspace_perm(data, P, W)
-            assert cost_value(data, P, out_g) == pytest.approx(
-                cost_value(data, P, out_e), abs=1e-9)
+            assert fixed_w_cost(data, P, out_g) == pytest.approx(
+                fixed_w_cost(data, P, out_e), abs=1e-9)
 
     def test_greedy_never_increases(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
@@ -393,7 +427,7 @@ class TestSubspacePerm:
         rng = np.random.default_rng(8)
         W = BlockTransform([random_row_orthonormal(4, 4, rng) for _ in range(2)])
         out = subspace_perm(data, P, W)
-        assert cost_value(data, P, out) <= cost_value(data, P, W) + TIE_EPS
+        assert fixed_w_cost(data, P, out) <= fixed_w_cost(data, P, W) + TIE_EPS
 
 
 def reference_subspace_perm(data, P, W):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -362,6 +363,29 @@ class TestCli:
         score = json.loads(capsys.readouterr().out)
         assert score["misi"] == solve["misi"]
         assert 0.0 <= score["mmse"] < 1.0  # 1-d subspaces: MMSE applies
+
+    def test_records_replay_from_cli(self, tmp_path):
+        # generate at a record's instance seed, then solve at its replicate
+        # seed: the CLI reproduces the row exactly
+        cfg = write_smoke_cfg(tmp_path, solver="misa-gp", reduce="pre", instances=2,
+                              sim={"subspace_dims": [[2], [1], [1]], "dims_v": [6],
+                                   "n_obs": 1000, "cond_target": 2.0, "rho_max": 0.6})
+        run = tmp_path / "run"
+        cli_main(["experiment", "--config", str(cfg), "--out", str(run)])
+        with open(run / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            inst = tmp_path / f"inst{row['instance']}"
+            est = tmp_path / f"est{row['instance']}-{row['replicate']}"
+            cli_main(["generate", "--config", str(cfg), "--seed", row["instance_seed"],
+                      "--out", str(inst)])
+            cli_main(["solve", "--config", str(cfg), "--seed", row["replicate_seed"],
+                      "--data", str(inst), "--out", str(est)])
+            solve = json.loads((est / "solve.json").read_text())
+            assert (solve["misi"], solve["objective"], solve["iterations"], solve["status"]) == (
+                float(row["misi"]), float(row["objective"]), int(row["iterations"]),
+                row["status"])
 
     def test_experiment_verb(self, tmp_path, capsys):
         cfg = write_smoke_cfg(tmp_path)

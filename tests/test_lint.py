@@ -14,6 +14,10 @@ No parameter with a default, of a function in ``src/misa``, goes unpassed:
 some call in ``src/misa``, ``tests`` or ``perfbench`` passes it, by keyword
 or by position.
 
+No function or class in ``src/misa`` is an orphan: each is referred to in
+``src/misa`` outside its own definition and ``__init__.py``, or in
+``perfbench``. A helper only tests call is deleted, not kept for them.
+
 README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
@@ -23,6 +27,7 @@ string constant. File names such as ``records.csv`` and the words in
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -209,3 +214,58 @@ def test_no_unpassed_defaults():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
     calling = [p.read_text() for p in [*FILES, *(ROOT / "perfbench").glob("*.py")]]
     assert unpassed_defaults(sources, calling) == []
+
+
+def names_read(tree) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def orphan_defs(defining: dict, referring: list, exempt=frozenset()) -> list:
+    """(module, name) for each function or class defined in the modules
+    {stem: source} of ``defining`` that nothing refers to: its name is read
+    nowhere in ``defining`` outside its own definition, and is neither read
+    nor a whole string constant in the sources ``referring`` (the perfbench
+    tracer patches functions by name). Dunder methods, which Python calls
+    itself, and the names in ``exempt`` are skipped."""
+    trees = {stem: ast.parse(source) for stem, source in defining.items()}
+    reads = sum((names_read(t) for t in trees.values()), Counter())
+    for source in referring:
+        tree = ast.parse(source)
+        reads += names_read(tree)
+        reads.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                     and isinstance(n.value, str) and n.value.isidentifier())
+    orphans = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name) and node.name not in exempt
+                    and reads[node.name] == names_read(node)[node.name]):
+                orphans.append((stem, node.name))
+    return sorted(orphans)
+
+
+def test_orphan_scan():
+    mod = ("def run(): return _helper()\n"
+           "def _helper(): return 1\n"
+           "def _orphan(n): return _orphan(n - 1) if n else 'run'\n"
+           "def patched(): pass\n"
+           "def kept(): pass\n"
+           "class K:\n    def __init__(self): pass\n    def m(self): return self.m\n")
+    bench = "from mod import run\nrun()\nwrap(mod, 'patched')\nK()\n"
+    # recursion and a mention inside its own body do not keep _orphan
+    assert orphan_defs({"mod": mod}, [bench], exempt={"kept"}) == [
+        ("mod", "_orphan"), ("mod", "m")]
+    assert orphan_defs({"mod": mod}, []) == [
+        ("mod", "K"), ("mod", "_orphan"), ("mod", "kept"), ("mod", "m"),
+        ("mod", "patched"), ("mod", "run")]
+
+
+def test_no_orphan_defs():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")
+               if p.name != "__init__.py"}
+    bench = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    # the closed-form Kotz log-density is the reference the criterion-3
+    # checks need, though no solver calls it
+    assert orphan_defs(sources, bench, exempt={"kotz_log_pdf"}) == []

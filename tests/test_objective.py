@@ -10,14 +10,13 @@ from misa import (
     RankError,
     SubspaceAssignment,
     evaluate,
-    j_d_term,
     random_row_orthonormal,
     relative_gradient,
 )
 from misa import DefinitenessError
 from misa.gradcheck import fd_gradient, max_rel_error, random_instance
 from misa.model import chol_pd, logdet_from_chol
-from misa.objective import value_from_sources
+from misa.objective import svd_terms, value_from_sources
 from scipy.linalg import cho_solve
 
 
@@ -64,7 +63,7 @@ def reference_evaluate(ctx, W):
         idx = ctx.assignment.sources(k)
         *terms, G_Y[idx] = reference_subspace_terms(Y[idx], pk, N, invariant, True)
         sums += terms
-    jd = sum(j_d_term(Wm) for Wm in W.blocks)
+    jd = sum(svd_terms(Wm)[0] for Wm in W.blocks)
     value = -jd + 0.5 * sums[0] - ctx.f_constant - sums[1] + sums[2]
     off = ctx.assignment.col_offsets
     grads = [G_Y[off[m]:off[m + 1]] @ Xm.T - np.linalg.pinv(Wm).T
@@ -105,22 +104,22 @@ PSI_GENERAL = (1.3, 0.7, 1.5)
 
 class TestJDTerm:
     def test_identity(self):
-        assert j_d_term(np.eye(5)) == pytest.approx(0.0)
+        assert svd_terms(np.eye(5))[0] == pytest.approx(0.0)
 
     def test_scaled_identity(self):
-        assert j_d_term(2 * np.eye(3)) == pytest.approx(3 * np.log(2))
+        assert svd_terms(2 * np.eye(3))[0] == pytest.approx(3 * np.log(2))
 
     def test_prescribed_singular_values(self):
         rng = np.random.default_rng(0)
         U = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         W = U @ np.diag([1.0, 2.0, 3.0, 4.0]) @ V[:4]
-        assert j_d_term(W) == pytest.approx(np.log(24.0), abs=1e-10)
+        assert svd_terms(W)[0] == pytest.approx(np.log(24.0), abs=1e-10)
 
     def test_rank_deficient(self):
         W = np.ones((3, 3))
         with pytest.raises(RankError):
-            j_d_term(W)
+            svd_terms(W)
 
 
 class TestGradients:
@@ -352,7 +351,7 @@ class TestValueFromSources:
     def test_matches_evaluate(self, mode, M):
         rng = np.random.default_rng(10 + M)
         X, P, W = small_instance(rng, M=M)
-        jd = sum(j_d_term(Wm) for Wm in W.blocks)
+        jd = sum(svd_terms(Wm)[0] for Wm in W.blocks)
         v = value_from_sources(W.transform(X), P) - jd
         assert v == pytest.approx(evaluate(ObjectiveContext(X, P, dispersion=mode), W).value,
                                   abs=1e-10)

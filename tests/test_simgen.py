@@ -24,9 +24,10 @@ from misa.simgen import laplace_ppf
 
 
 def test_import_loads_no_scipy_stats():
-    # scipy.stats adds about a second to every process that imports misa
+    # importing scipy costs about a second of every process that imports
+    # misa; the functions that need scipy import it when called
     code = ("import sys, misa; print(sorted(m for m in sys.modules"
-            " if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            " if m.startswith('scipy')))")
     src = str(Path(misa.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -228,6 +229,25 @@ class TestSimSpec:
                        n_obs=100, cond_target=[2.0, 3.0], rho_max=[0.3, 0.4, 0.5])
         assert [spec.cond_for(m) for m in range(2)] == [2.0, 3.0]
         assert [spec.rho_for(k) for k in range(3)] == [0.3, 0.4, 0.5]
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho_max", 7.0), ("rho_max", 1.0), ("rho_max", -0.1), ("rho_max", [0.3, 1.5]),
+        ("cond_target", 0.5), ("cond_target", [2.0, 0.9]),
+        ("snr_db", -3.0), ("snr_db", 0.0), ("snr_db", np.nan),
+        ("ar_rho", 3.0), ("ar_rho", 1.0), ("copula_draws", -4), ("copula_draws", 0)])
+    def test_out_of_range_rejected(self, field, value):
+        # K = 2 subspaces over M = 2 datasets; the mvlaplace family reads
+        # neither ar_rho nor copula_draws, and an ICA-shaped subspace never
+        # reads rho_max, yet each is checked
+        with pytest.raises(DomainError, match=rf"^{field} must be"):
+            SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2],
+                    n_obs=100, **{field: value})
+
+    def test_range_bounds_accepted(self):
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2], n_obs=100,
+                       rho_max=0.0, cond_target=[1.0, 1.0], snr_db=np.inf, ar_rho=0.0,
+                       copula_draws=1)
+        assert spec.rho_for(0) == 0.0
 
 
 class TestBuildInstance:
