@@ -114,8 +114,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    worst = gradcheck.audit_objective(seed=seed, n_instances=5)
-    worst["pre"] = gradcheck.audit_pre(seed=seed, n_instances=5)
+    worst = gradcheck.audit_objective(seed=seed)
+    worst["pre"] = gradcheck.audit_pre(seed=seed)
     ok = all(v < 1e-5 for v in worst.values())
     for name, v in sorted(worst.items()):
         print(f"{name}: max relative error {v:.3e}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -238,26 +239,33 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
     joint solve) minimizes the same objective over P_ud, so candidates are
     compared by the objective_value of their solves: a later one displaces
     the kept one only when lower and not tied with it. The loop stops after
-    a round t >= 2 whose value ties round t - 1's.
+    a round t >= 2 whose value ties round t - 1's. The returned solve
+    reports n_iters and n_evals summed over every solve the driver ran.
     """
-    best = prev = run_misa(data, P_ud, W0, opts=opts)
+    solves = []
+
+    def solve(data_, P_, W_):
+        solves.append(run_misa(data_, P_, W_, opts=opts))
+        return solves[-1]
+
+    best = prev = solve(data, P_ud, W0)
     for t in range(1, T + 1):
         blocks = []
         for m in range(data.n_datasets):
             data_m = MultiDataset([data.blocks[m]])
             C_m = P_ud.col_dims[m]
             P_sdu = SubspaceAssignment.singletons([C_m])
-            sol_m = run_misa(data_m, P_sdu, BlockTransform([prev.W_final.blocks[m]]),
-                             opts=opts)
+            sol_m = solve(data_m, P_sdu, BlockTransform([prev.W_final.blocks[m]]))
             P_est = gp(data_m, P_sdu, sol_m.W_final)
             order = match(P_est, P_ud.dataset_block(m))
             blocks.append(sol_m.W_final.blocks[0][order])
         W = subspace_perm(data, P_ud, BlockTransform(blocks))
-        sol = run_misa(data, P_ud, W, opts=opts)
+        sol = solve(data, P_ud, W)
         v = sol.objective_value
         if v < best.objective_value and not _tied(v, best.objective_value):
             best = sol
         if t >= 2 and _tied(v, prev.objective_value):
             break
         prev = sol
-    return best
+    return replace(best, n_iters=sum(s.n_iters for s in solves),
+                   n_evals=sum(s.n_evals for s in solves))

@@ -17,6 +17,7 @@ from .model import (
 from .optimizer import random_row_orthonormal
 
 ABS_FLOOR = 1e-7
+AUDIT_INSTANCES = 5  # random problems per audit
 
 
 def fd_gradient(f: Callable[[BlockTransform], float], W: BlockTransform,
@@ -58,11 +59,11 @@ def random_instance(rng: np.random.Generator, M: int = 2, N: int = 300):
     return X, P, W
 
 
-def audit_objective(seed: int = 0, n_instances: int = 5) -> dict:
+def audit_objective(seed: int = 0) -> dict:
     """Max relative FD error of the objective gradient per dispersion mode."""
     rng = np.random.default_rng(seed)
     worst = {mode.value: 0.0 for mode in DispersionChoice}
-    for _ in range(n_instances):
+    for _ in range(AUDIT_INSTANCES):
         M = int(rng.integers(1, 4))
         X, P, W = random_instance(rng, M=M)
         for mode in DispersionChoice:
@@ -74,11 +75,11 @@ def audit_objective(seed: int = 0, n_instances: int = 5) -> dict:
     return worst
 
 
-def audit_pre(seed: int = 0, n_instances: int = 5) -> float:
+def audit_pre(seed: int = 0) -> float:
     """Max relative FD error of the reconstruction-error gradient."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(AUDIT_INSTANCES):
         V, C, N = 5, 3, 50
         X = MultiDataset([rng.standard_normal((V, N))])
         W = BlockTransform([rng.standard_normal((C, V))])

@@ -101,19 +101,15 @@ def _parse_snr(v: str) -> float:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON tree; unknown, missing and
-    wrong-typed keys are rejected by name at every level."""
+    wrong-typed keys are rejected by name at every level. A preset's keys
+    override that preset."""
     _section("config", d, ExperimentConfig)
-    exp_id = d.get("experiment", "custom")
-    base = preset(exp_id) if exp_id != "custom" else ExperimentConfig(
-        experiment="custom", sim=SimSpec(subspace_dims=[[1]], dims_v=[1], n_obs=2))
     kw = {}
     if "sim" in d:
         s = d["sim"]
         if isinstance(s, dict) and isinstance(s.get("snr_db"), str):
             s = {**s, "snr_db": _parse_snr(s["snr_db"])}
         kw["sim"] = SimSpec(**_section("sim", s, SimSpec))
-    elif exp_id == "custom":
-        raise ConfigError("custom experiment requires a sim section")
     if "optim" in d:
         kw["optim"] = opt.OptimOptions(**_section("optim", d["optim"], opt.OptimOptions))
     if "dispersion" in d:
@@ -122,8 +118,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"unknown dispersion {d['dispersion']!r}") from None
     kw.update((key, d[key]) for key in _SCALAR_KEYS & set(d))
-    merged = {**base.__dict__, **kw, "experiment": exp_id}
-    return ExperimentConfig(**merged)
+    exp_id = d.get("experiment", "custom")
+    return ExperimentConfig(**kw) if exp_id == "custom" else replace(preset(exp_id), **kw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -131,47 +127,33 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
-def _preset_optim() -> opt.OptimOptions:
-    # benchmark runs need a tighter function tolerance than the library default
-    return opt.OptimOptions(tol_fun=1e-8, tol_x=1e-9)
+# what each benchmark protocol changes from the SimSpec and ExperimentConfig
+# defaults; preset() adds what every protocol shares
+_PRESETS = {
+    "ica1": ({"subspace_dims": [[1]] * 10, "dims_v": [40], "n_obs": 5000},
+             {"reduce": "pre", "instances": 10}),
+    "iva1": ({"subspace_dims": [[1] * 5] * 8, "dims_v": [8] * 5, "n_obs": 20000}, {}),
+    "iva2": ({"subspace_dims": [[1, 1]] * 12, "dims_v": [20, 20], "n_obs": 10000,
+              "snr_db": 15.0, "rho_max": 0.7, "family": "copula"},
+             {"reduce": "pre"}),
+    "isa1": ({"subspace_dims": [[4]] * 4, "dims_v": [16], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+    "isa2": ({"subspace_dims": [[1], [2], [3], [4], [5]], "dims_v": [15], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+    "isa3": ({"subspace_dims": [[2, 1], [2, 1], [1, 3]], "dims_v": [5, 5], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+}
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Desk-scale presets mirroring the benchmark protocols."""
-    if name == "ica1":
-        sim = SimSpec(subspace_dims=np.ones((10, 1), dtype=int), dims_v=[40],
-                      n_obs=5000, cond_target=3.0, snr_db=np.inf)
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="pre",
-                                solver="misa", instances=10, replicates=10)
-    if name == "iva1":
-        sim = SimSpec(subspace_dims=np.ones((8, 5), dtype=int), dims_v=[8] * 5,
-                      n_obs=20000, cond_target=3.0, snr_db=np.inf, rho_max=0.5)
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="none",
-                                solver="misa", instances=1, replicates=10)
-    if name == "iva2":
-        sim = SimSpec(subspace_dims=np.ones((12, 2), dtype=int), dims_v=[20, 20],
-                      n_obs=10000, cond_target=3.0, snr_db=15.0, rho_max=0.7,
-                      family="copula")
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="pre",
-                                solver="misa", instances=1, replicates=10)
-    if name == "isa1":
-        sim = SimSpec(subspace_dims=np.full((4, 1), 4, dtype=int), dims_v=[16],
-                      n_obs=8000, cond_target=3.0, snr_db=np.inf, rho_max=0.5)
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="none",
-                                solver="misa-gp", instances=1, replicates=10)
-    if name == "isa2":
-        sim = SimSpec(subspace_dims=np.array([[1], [2], [3], [4], [5]]),
-                      dims_v=[15], n_obs=8000, cond_target=3.0, snr_db=np.inf,
-                      rho_max=0.5)
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="none",
-                                solver="misa-gp", instances=1, replicates=10)
-    if name == "isa3":
-        sim = SimSpec(subspace_dims=np.array([[2, 1], [2, 1], [1, 3]]),
-                      dims_v=[5, 5], n_obs=8000, cond_target=3.0, snr_db=np.inf,
-                      rho_max=0.5)
-        return ExperimentConfig(experiment=name, optim=_preset_optim(), sim=sim, reduce="none",
-                                solver="misa-gp", instances=1, replicates=10)
-    raise ConfigError(f"unknown experiment preset {name!r}")
+    """Desk-scale presets mirroring the benchmark protocols: 10 replicates
+    each, at a tighter function tolerance than the library default. Every
+    call builds new objects, so a caller may change what it gets."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown experiment preset {name!r}")
+    sim, settings = _PRESETS[name]
+    return ExperimentConfig(experiment=name, sim=SimSpec(**sim), replicates=10,
+                            optim=opt.OptimOptions(tol_fun=1e-8), **settings)
 
 
 @dataclass
@@ -268,22 +250,20 @@ def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
                    B: Optional[BlockTransform], i: int, r: int,
                    inst_seed: int, rep_seed: int) -> RunRecord:
     t0 = time.perf_counter()
+    misi = mmse = objective = float("nan")
+    iterations = 0
     try:
         sol, W_total = solve_instance(cfg, work_data, P, B, rep_seed)
         scores = score_estimate(W_total, truth.A, P, data, truth.Y)
-        return RunRecord(instance=i, replicate=r, instance_seed=inst_seed,
-                         replicate_seed=rep_seed, misi=scores["misi"],
-                         mmse=scores.get("mmse", float("nan")),
-                         objective=sol.objective_value, iterations=sol.n_iters,
-                         wall_time=time.perf_counter() - t0,
-                         status=sol.status.value)
+        misi, mmse = scores["misi"], scores.get("mmse", mmse)
+        objective, iterations, status = sol.objective_value, sol.n_iters, sol.status.value
     except (MisaError, np.linalg.LinAlgError) as e:
         # a numerical failure is recorded, not fatal; a bug propagates
-        return RunRecord(instance=i, replicate=r, instance_seed=inst_seed,
-                         replicate_seed=rep_seed, misi=float("nan"),
-                         mmse=float("nan"), objective=float("nan"),
-                         iterations=0, wall_time=time.perf_counter() - t0,
-                         status=f"error:{type(e).__name__}")
+        status = f"error:{type(e).__name__}"
+    return RunRecord(instance=i, replicate=r, instance_seed=inst_seed,
+                     replicate_seed=rep_seed, misi=misi, mmse=mmse,
+                     objective=objective, iterations=iterations,
+                     wall_time=time.perf_counter() - t0, status=status)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -343,8 +323,8 @@ def summarize(cfg: ExperimentConfig, records: List[RunRecord]) -> dict:
     }
 
 
-_RECORD_FIELDS = ["instance", "replicate", "instance_seed", "replicate_seed",
-                  "misi", "mmse", "objective", "iterations", "status"]
+# the deterministic columns of records.csv; wall_time goes to timings.csv
+_RECORD_FIELDS = [f.name for f in fields(RunRecord) if f.name != "wall_time"]
 
 
 def write_results(out_dir, records: List[RunRecord], summary: dict) -> None:
@@ -355,10 +335,7 @@ def write_results(out_dir, records: List[RunRecord], summary: dict) -> None:
     with open(out / "records.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_RECORD_FIELDS)
-        for r in records:
-            w.writerow([r.instance, r.replicate, r.instance_seed,
-                        r.replicate_seed, repr(r.misi), repr(r.mmse),
-                        repr(r.objective), r.iterations, r.status])
+        w.writerows([getattr(r, k) for k in _RECORD_FIELDS] for r in records)
     with open(out / "timings.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["instance", "replicate", "wall_time"])

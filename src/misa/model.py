@@ -152,7 +152,8 @@ def kotz_log_pdf(y: np.ndarray, D: np.ndarray, params: KotzParams) -> float:
 
 @dataclass(frozen=True)
 class MultiDataset:
-    """M observation matrices X_m (V_m x N) sharing one axis of N observations."""
+    """M observation matrices X_m (V_m x N) sharing one axis of N observations;
+    every entry must be finite."""
 
     blocks: tuple
 
@@ -168,6 +169,9 @@ class MultiDataset:
             raise ShapeError("need N >= 2 observations")
         if any(b.shape[1] != n for b in mats):
             raise ShapeError("all datasets must share the same number of observations")
+        for m, b in enumerate(mats):
+            if not np.all(np.isfinite(b)):
+                raise DomainError(f"dataset {m} holds non-finite values (NaN or inf)")
         object.__setattr__(self, "blocks", mats)
 
     @property

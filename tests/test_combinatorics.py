@@ -304,26 +304,47 @@ class TestDrivers:
             if (c.objective_value < best.objective_value
                     and not combinatorics._tied(c.objective_value, best.objective_value)):
                 best = c
-        # the solve itself, reported with the value it minimized
-        assert sol is best
+        # the picked solve, reported with the value it minimized
+        assert sol.W_final is best.W_final and sol.trace is best.trace
+        assert (sol.objective_value, sol.status) == (best.objective_value, best.status)
         assert sol.objective_value == evaluate(ObjectiveContext(data, P), sol.W_final).value
+
+    def test_mdm_counts_every_solve(self, monkeypatch):
+        # iterations and evaluations cover the whole driver: the first solve,
+        # every singleton refinement and every joint solve
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
+                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
+        data, truth, P = build_instance(spec)
+        W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
+                             for _ in range(2)])
+        solves = []
+
+        def recording(*args, **kw):
+            solves.append(run_misa(*args, **kw))
+            return solves[-1]
+
+        monkeypatch.setattr(combinatorics, "run_misa", recording)
+        sol = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+        assert len(solves) >= 4  # the first solve and one round over M = 2
+        assert sol.n_iters == sum(s.n_iters for s in solves)
+        assert sol.n_evals == sum(s.n_evals for s in solves)
 
     @staticmethod
     def scripted(monkeypatch, P_ud, values):
-        """Replace run_misa by a stub that returns W0 unchanged; the joint
-        solves over P_ud report the given values in turn, and n_iters holds
-        each joint solve's index."""
+        """Replace run_misa by a stub that returns W0 unchanged after one
+        iteration and two evaluations; the joint solves over P_ud report the
+        given values in turn, and trace holds each joint solve's index."""
         vals = iter(values)
         joint = itertools.count()
 
         def fake(data, P, W0, **kw):
             if P is not P_ud:
                 return Solution(W_final=W0, objective_value=0.0,
-                                status=Status.CONVERGED_FUN, trace=[], n_iters=-1,
-                                n_evals=0)
+                                status=Status.CONVERGED_FUN, trace=[], n_iters=1,
+                                n_evals=2)
             return Solution(W_final=W0, objective_value=next(vals),
-                            status=Status.CONVERGED_FUN, trace=[],
-                            n_iters=next(joint), n_evals=0)
+                            status=Status.CONVERGED_FUN, trace=[next(joint)],
+                            n_iters=1, n_evals=2)
 
         monkeypatch.setattr(combinatorics, "run_misa", fake)
         return vals
@@ -335,8 +356,10 @@ class TestDrivers:
         W0 = BlockTransform([random_row_orthonormal(4, 4, np.random.default_rng(0))])
         vals = self.scripted(monkeypatch, P, [1e3 + 1.0, 1e3, 1e3 + 1e-6, 0.0])
         sol = misa_gp_mdm(data, P, W0, T=3, opts=OPTS)
-        assert (sol.n_iters, sol.objective_value) == (1, 1e3)
+        assert (sol.trace, sol.objective_value) == ([1], 1e3)
         assert next(vals) == 0.0
+        # the first solve, then a singleton and a joint solve in each of 2 rounds
+        assert (sol.n_iters, sol.n_evals) == (5, 10)
 
     def test_mdm_keeps_earliest_of_tied_candidates(self, monkeypatch):
         data, truth, P = isa_instance()
@@ -344,10 +367,10 @@ class TestDrivers:
         # 9.0 + 4e-8 ties 9.0 (within TIE_EPS relative); 8.9 beats both
         self.scripted(monkeypatch, P, [9.0 + 4e-8, 9.0])
         sol = misa_gp_mdm(data, P, W0, T=1, opts=OPTS)
-        assert (sol.n_iters, sol.objective_value) == (0, 9.0 + 4e-8)
+        assert (sol.trace, sol.objective_value, sol.n_iters) == ([0], 9.0 + 4e-8, 3)
         self.scripted(monkeypatch, P, [9.0 + 4e-8, 9.0, 8.9])
         sol = misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
-        assert (sol.n_iters, sol.objective_value) == (2, 8.9)
+        assert (sol.trace, sol.objective_value, sol.n_iters) == ([2], 8.9, 5)
 
 
 class TestSubspacePerm:

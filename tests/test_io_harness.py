@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from misa import (
     ConfigError,
     DefinitenessError,
+    DispersionChoice,
     DomainError,
+    ExperimentConfig,
     ParseError,
     RunRecord,
+    SimSpec,
     SubspaceAssignment,
     config_from_dict,
     correlation_summary,
@@ -187,6 +191,57 @@ class TestConfig:
         assert config_from_dict(d).solver == "misa-gp"
         with pytest.raises(ConfigError, match="dispersion"):
             config_from_dict({"experiment": "isa1", "dispersion": "invariant"})
+
+
+# every field of the six presets, spelled out: what each protocol sets, and
+# what all of them share
+SIM_SHARED = {"cond_target": 3.0, "snr_db": np.inf, "rho_max": 0.5,
+              "family": "mvlaplace", "copula_draws": 50, "ar_rho": 0.85, "seed": 0}
+CFG_SHARED = {"reduce": "none", "solver": "misa",
+              "dispersion": DispersionChoice.SCALE_CONTROLLED, "T": 2, "instances": 1,
+              "replicates": 10, "seed": 0, "out_dir": None, "threads": 1}
+OPTIM_SHARED = {"typical_x": 0.1, "max_fun_evals": 50000, "max_iters": 10000,
+                "lbfgs_memory": 10, "tol_fun": 1e-8, "tol_x": 1e-9}
+PINNED = {
+    "ica1": ({"subspace_dims": [[1]] * 10, "dims_v": [40], "n_obs": 5000},
+             {"reduce": "pre", "instances": 10}),
+    "iva1": ({"subspace_dims": [[1] * 5] * 8, "dims_v": [8] * 5, "n_obs": 20000}, {}),
+    "iva2": ({"subspace_dims": [[1, 1]] * 12, "dims_v": [20, 20], "n_obs": 10000,
+              "snr_db": 15.0, "rho_max": 0.7, "family": "copula"}, {"reduce": "pre"}),
+    "isa1": ({"subspace_dims": [[4]] * 4, "dims_v": [16], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+    "isa2": ({"subspace_dims": [[1], [2], [3], [4], [5]], "dims_v": [15], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+    "isa3": ({"subspace_dims": [[2, 1], [2, 1], [1, 3]], "dims_v": [5, 5], "n_obs": 8000},
+             {"solver": "misa-gp"}),
+}
+
+
+class TestPresets:
+    def test_preset_names(self):
+        assert sorted(harness._PRESETS) == sorted(PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_preset_pinned(self, name):
+        sim, settings = PINNED[name]
+        cfg = preset(name)
+        assert cfg.sim.subspace_dims.dtype.kind == "i"
+        got_sim = {f.name: getattr(cfg.sim, f.name) for f in fields(SimSpec)}
+        got_sim["subspace_dims"] = cfg.sim.subspace_dims.tolist()
+        assert got_sim == {**SIM_SHARED, **sim}
+        assert asdict(cfg.optim) == OPTIM_SHARED
+        got = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)
+               if f.name not in ("sim", "optim")}
+        assert got == {"experiment": name, **CFG_SHARED, **settings}
+
+    def test_each_call_builds_new_objects(self):
+        changed = preset("isa3")
+        changed.sim.subspace_dims[0, 0] = 7
+        changed.sim.dims_v.append(1)
+        changed.optim.tol_fun = 1.0
+        fresh = preset("isa3")
+        assert fresh.sim.subspace_dims.tolist() == PINNED["isa3"][0]["subspace_dims"]
+        assert fresh.sim.dims_v == [5, 5] and fresh.optim.tol_fun == 1e-8
 
 
 def fake_record(i, r, misi):
@@ -395,6 +450,18 @@ class TestCli:
         assert (out / "summary.json").exists()
         summary = json.loads(capsys.readouterr().out)
         assert summary["good"] is True
+
+    def test_solve_rejects_non_finite_data(self, tmp_path):
+        # a NaN in a saved instance is named on load, not met as a failed SVD
+        cfg = write_smoke_cfg(tmp_path)
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(cfg), "--out", str(inst)])
+        X = load_matrix(inst / "X_0.misa")
+        X[1, 7] = np.nan
+        save_matrix(inst / "X_0.misa", X)
+        with pytest.raises(DomainError, match="dataset 0"):
+            cli_main(["solve", "--config", str(cfg), "--data", str(inst),
+                      "--out", str(tmp_path / "est")])
 
     def test_gradcheck_verb(self, capsys):
         rc = cli_main(["gradcheck", "--seed", "0"])

@@ -18,6 +18,10 @@ No function or class in ``src/misa`` is an orphan: each is referred to in
 ``src/misa`` outside its own definition and ``__init__.py``, or in
 ``perfbench``. A helper only tests call is deleted, not kept for them.
 
+No call in ``src/misa`` restates a default: it passes no keyword whose
+source text is that parameter's default, or that dataclass field's default,
+for a function or dataclass defined in ``src/misa``.
+
 README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
@@ -28,9 +32,14 @@ string constant. File names such as ``records.csv`` and the words in
 import ast
 import re
 from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+
+from misa import harness
+from misa.harness import ExperimentConfig
+from misa.simgen import SimSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in [*(ROOT / "src" / "misa").glob("*.py"),
@@ -162,12 +171,9 @@ def unpassed_defaults(defining: dict, calling: list) -> list:
     positional, keywords = {}, {}
     for source in calling:
         tree = ast.parse(source)
-        alias = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                 for a in n.names if a.asname}
+        alias = _aliases(tree)
         for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-            f = call.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            name = alias.get(name, name)
+            name = _call_name(call, alias)
             n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
                      else len(call.args))
             positional[name] = max(positional.get(name, 0), n_pos)
@@ -214,6 +220,94 @@ def test_no_unpassed_defaults():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
     calling = [p.read_text() for p in [*FILES, *(ROOT / "perfbench").glob("*.py")]]
     assert unpassed_defaults(sources, calling) == []
+
+
+def _call_name(call, alias) -> str:
+    """The name a call resolves to: the called name or attribute, with an
+    import alias mapped to the imported name."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return alias.get(name, name)
+
+
+def _aliases(tree) -> dict:
+    return {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            for a in n.names if a.asname}
+
+
+def restated_defaults(defining: dict, calling: dict) -> list:
+    """(module, line, callee, keyword) for each call in the sources
+    {stem: source} of ``calling`` that passes a keyword whose ``ast.unparse``
+    text equals the default of that parameter, or of that dataclass field,
+    of a function or dataclass defined in the modules of ``defining``. Calls
+    match definitions by name, as in ``unpassed_defaults``; a class name
+    matches its ``__init__`` and its dataclass fields. A field set by a call,
+    such as ``field(default_factory=...)``, is skipped."""
+    defaults = {}
+    for source in defining.values():
+        tree = ast.parse(source)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defaults.setdefault(node.name, {}).update(
+                    (f.target.id, ast.unparse(f.value)) for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                    and f.value is not None and not isinstance(f.value, ast.Call))
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args
+                pairs = [*zip(params[len(params) - len(a.defaults):], a.defaults),
+                         *((p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)]
+                name = owner[id(node)] if node.name == "__init__" else node.name
+                defaults.setdefault(name, {}).update((p.arg, ast.unparse(d)) for p, d in pairs)
+    restated = []
+    for stem, source in calling.items():
+        tree = ast.parse(source)
+        alias = _aliases(tree)
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = _call_name(call, alias)
+            given = defaults.get(name, {})
+            restated += [(stem, call.lineno, name, k.arg) for k in call.keywords
+                         if k.arg in given and ast.unparse(k.value) == given[k.arg]]
+    return sorted(restated)
+
+
+def test_restated_default_scan():
+    mod = ("from dataclasses import dataclass, field\n"
+           "def f(a, b=1, *, c='x', d=None): pass\n"
+           "@dataclass\nclass D:\n    u: int\n    v: float = 0.5\n"
+           "    w: list = field(default_factory=list)\n"
+           "class K:\n    def __init__(self, z=np.inf): pass\n"
+           "    def m(self, y=2): pass\n")
+    use = ("from mod import f as g\n"
+           "f(0, b=1, c='y', d=None)\n"
+           "g(0, c='x')\n"
+           "D(u=0, v=0.5, w=field(default_factory=list))\n"
+           "D(u=1, v=0.25)\n"
+           "K(z=np.inf).m(y=2)\n"
+           "K(z=np.nan)\n"
+           "h(b=1)\n"
+           "'f(b=1)'\n")
+    assert restated_defaults({"mod": mod}, {"use": use}) == [
+        ("use", 2, "f", "b"), ("use", 2, "f", "d"), ("use", 3, "f", "c"),
+        ("use", 4, "D", "v"), ("use", 6, "K", "z"), ("use", 6, "m", "y")]
+
+
+def test_no_restated_defaults():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
+    assert restated_defaults(sources, sources) == []
+
+
+def test_presets_restate_no_default():
+    # the preset table lists only what each protocol changes
+    defaults = {cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+                for cls in (SimSpec, ExperimentConfig)}
+    restated = [(name, key) for name, entry in harness._PRESETS.items()
+                for cls, given in zip((SimSpec, ExperimentConfig), entry)
+                for key, value in given.items()
+                if key in defaults[cls] and value == defaults[cls][key]]
+    assert restated == []
 
 
 def names_read(tree) -> Counter:

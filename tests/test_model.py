@@ -150,6 +150,14 @@ class TestMultiDataset:
         with pytest.raises(ShapeError):
             MultiDataset([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_dataset(self, bad):
+        # rejected on entry, not met later as a failed SVD at a trial point
+        X = np.ones((2, 10))
+        X[1, 4] = bad
+        with pytest.raises(DomainError, match="dataset 1"):
+            MultiDataset([np.ones((3, 10)), X])
+
 
 class TestSubspaceAssignment:
     def test_column_sums_one_enforced(self):
