@@ -19,17 +19,13 @@ import numpy as np
 from . import gradcheck
 from . import harness
 from . import metrics
+from .errors import MisaError, ParseError
 from .io import load_matrix, save_matrix
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
 def _load_cfg(args) -> harness.ExperimentConfig:
-    if args.config:
-        cfg = harness.load_config(args.config)
-    elif args.experiment:
-        cfg = harness.preset(args.experiment)
-    else:
-        raise SystemExit("need --config or --experiment")
+    cfg = harness.load_config(args.config) if args.config else harness.preset(args.experiment)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -96,9 +92,7 @@ def cmd_solve(args) -> int:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(result))
-    if A is not None:
-        return 0 if result["misi"] < metrics.MISI_GOOD else 1
-    return 0
+    return 0 if A is None or result["misi"] < metrics.MISI_GOOD else 1
 
 
 def cmd_experiment(args) -> int:
@@ -126,7 +120,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_score(args) -> int:
     data, P, A, manifest = _load_instance(args.data)
     if A is None:
-        raise SystemExit("instance directory has no mixing matrices to score against")
+        raise ParseError("instance directory has no mixing matrices to score against")
     root = Path(args.data)
     wdir = Path(args.est) if args.est else root
     W = BlockTransform([load_matrix(wdir / f"W_{m}.misa")
@@ -143,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def common(p, out_required=False):
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--experiment", help="preset id (ica1|iva1|iva2|isa1|isa2|isa3)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="JSON experiment config")
+        source.add_argument("--experiment", help="preset id (ica1|iva1|iva2|isa1|isa2|isa3)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=out_required, help="output directory")
 
@@ -177,7 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MisaError as e:
+        # bad input exits 2, as argparse does; a poor separation exits 1
+        print(f"misa: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field range check."""
+
+import numpy as np
 
 
 class MisaError(Exception):
@@ -27,3 +29,15 @@ class ParseError(MisaError, ValueError):
 
 class ConfigError(MisaError, ValueError):
     """An experiment configuration is invalid."""
+
+
+def check_ranges(obj, rules, error=DomainError) -> None:
+    """Raise error for the first field of obj whose value, or an entry of a
+    sequence value, fails its rule. Each rule is (fields, test, wording),
+    fields a space-separated list of names. Each test is a comparison, false
+    for NaN, so NaN fails every rule."""
+    for names, ok, want in rules:
+        for name in names.split():
+            for v in np.ravel(getattr(obj, name)):
+                if not ok(v):
+                    raise error(f"{name} must be {want}, got {v}")

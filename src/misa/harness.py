@@ -18,7 +18,8 @@ from . import combinatorics as comb
 from . import metrics
 from . import optimizer as opt
 from . import reduction
-from .errors import ConfigError, MisaError
+from .errors import (ConfigError, DefinitenessError, DomainError, RankError,
+                     check_ranges)
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from .simgen import SimSpec, build_instance
 
@@ -38,26 +39,16 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.reduce not in ("none", "pre", "gpca"):
-            raise ConfigError(f"unknown reduce mode {self.reduce!r}")
-        if self.solver not in ("misa", "misa-gp"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
+        check_ranges(self, (("reduce", lambda v: v in ("none", "pre", "gpca"),
+                             "none, pre or gpca"),
+                            ("solver", lambda v: v in ("misa", "misa-gp"), "misa or misa-gp"),
+                            ("instances replicates threads", lambda v: v >= 1, ">= 1"),
+                            ("T seed", lambda v: v >= 0, ">= 0")), ConfigError)
         if self.solver == "misa-gp" and self.dispersion != DispersionChoice.SCALE_CONTROLLED:
             raise ConfigError("dispersion applies to solver 'misa' only; "
                               "misa-gp always uses the controlled dispersion")
-        if self.instances < 1 or self.replicates < 1:
-            raise ConfigError("instances and replicates must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.T < 0 or self.seed < 0:
-            raise ConfigError("T and seed must be >= 0")
         if self.sim is None:
             raise ConfigError("config needs a sim section or a preset experiment id")
-
-
-# keys copied as given; the others are parsed into their own types
-_SCALAR_KEYS = ({f.name for f in fields(ExperimentConfig)}
-                - {"experiment", "sim", "optim", "dispersion"})
 
 
 def _fits(v, hint) -> bool:
@@ -75,22 +66,22 @@ def _fits(v, hint) -> bool:
     return isinstance(v, hint) if hint in (str, type(None)) else True
 
 
-def _section(name: str, values, cls) -> dict:
-    """values checked against the fields of the dataclass cls: ConfigError
-    names every key that is unknown, missing (a field without default) or
-    of the wrong JSON type."""
+def _section(name: str, values, cls, base=None):
+    """cls from the JSON object values: base with the given keys replaced,
+    or without a base, from its defaults. ConfigError names every key that
+    is unknown, of the wrong JSON type, or (without a base) missing."""
     if not isinstance(values, dict):
         raise ConfigError(f"{name} must be an object")
     hints = get_type_hints(cls)
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
+    required = {f.name for f in fields(cls) if base is None
+                and f.default is MISSING and f.default_factory is MISSING}
     for what, keys in (("unknown", set(values) - set(hints)),
                        ("missing", required - set(values)),
                        ("wrong-typed", {k for k, v in values.items()
                                         if k in hints and not _fits(v, hints[k])})):
         if keys:
             raise ConfigError(f"{what} {name} key(s): {sorted(keys)}")
-    return values
+    return cls(**values) if base is None else replace(base, **values)
 
 
 def _parse_snr(v: str) -> float:
@@ -100,26 +91,27 @@ def _parse_snr(v: str) -> float:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build a validated config from a parsed JSON tree; unknown, missing and
-    wrong-typed keys are rejected by name at every level. A preset's keys
-    override that preset."""
-    _section("config", d, ExperimentConfig)
-    kw = {}
+    """Build a validated config from a parsed JSON tree: the preset it names,
+    or the defaults for "custom", with only the given keys replaced, at the
+    top level and in sim and optim. Bad keys are named as in _section."""
+    if not isinstance(d, dict):
+        raise ConfigError("config must be an object")
+    exp_id = d.get("experiment", "custom")
+    base = None if exp_id == "custom" else preset(exp_id)
+    d = dict(d)
     if "sim" in d:
         s = d["sim"]
         if isinstance(s, dict) and isinstance(s.get("snr_db"), str):
             s = {**s, "snr_db": _parse_snr(s["snr_db"])}
-        kw["sim"] = SimSpec(**_section("sim", s, SimSpec))
+        d["sim"] = _section("sim", s, SimSpec, base and base.sim)
     if "optim" in d:
-        kw["optim"] = opt.OptimOptions(**_section("optim", d["optim"], opt.OptimOptions))
+        d["optim"] = _section("optim", d["optim"], opt.OptimOptions, base and base.optim)
     if "dispersion" in d:
         try:
-            kw["dispersion"] = DispersionChoice(d["dispersion"])
+            d["dispersion"] = DispersionChoice(d["dispersion"])
         except ValueError:
             raise ConfigError(f"unknown dispersion {d['dispersion']!r}") from None
-    kw.update((key, d[key]) for key in _SCALAR_KEYS & set(d))
-    exp_id = d.get("experiment", "custom")
-    return ExperimentConfig(**kw) if exp_id == "custom" else replace(preset(exp_id), **kw)
+    return _section("config", d, ExperimentConfig, base)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -215,7 +207,8 @@ def score_estimate(W_total: BlockTransform, A: BlockTransform,
 def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
                     P: SubspaceAssignment):
     """Apply cfg.reduce; returns (work_data, B) with work_data_m = B_m X_m,
-    or (data, None) without reduction."""
+    or (data, None) without reduction, which needs V_m = C_m: noiseless X_m
+    has rank C_m, so with more channels the objective is unbounded below."""
     if cfg.reduce == "pre":
         red = reduction.reduce_data(data, P.col_dims)
         return red.reduced, red.B_star
@@ -224,6 +217,10 @@ def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
             raise ConfigError("gpca reduction requires equal C_m across datasets")
         B = reduction.gpca_init(data, P.col_dims[0])
         return MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, data.blocks)]), B
+    for m, (V, C) in enumerate(zip(data.dims, P.col_dims)):
+        if V != C:
+            raise ConfigError(f"reduce 'none' needs V_m = C_m, but dataset {m} has "
+                              f"V={V}, C={C}; use reduce 'pre'")
     return data, None
 
 
@@ -257,8 +254,8 @@ def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
         scores = score_estimate(W_total, truth.A, P, data, truth.Y)
         misi, mmse = scores["misi"], scores.get("mmse", mmse)
         objective, iterations, status = sol.objective_value, sol.n_iters, sol.status.value
-    except (MisaError, np.linalg.LinAlgError) as e:
-        # a numerical failure is recorded, not fatal; a bug propagates
+    except (RankError, DefinitenessError, DomainError, np.linalg.LinAlgError) as e:
+        # a numerical failure is recorded; a bug or bad input propagates
         status = f"error:{type(e).__name__}"
     return RunRecord(instance=i, replicate=r, instance_seed=inst_seed,
                      replicate_seed=rep_seed, misi=misi, mmse=mmse,

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, RankError
+from .errors import DefinitenessError, RankError, check_ranges
 from .model import BlockTransform
 
 ARMIJO_C = 1e-4
@@ -38,14 +38,9 @@ class OptimOptions:
     tol_x: float = 1e-9
 
     def __post_init__(self):
-        if not self.typical_x > 0:
-            raise DomainError("typical_x must be > 0")
-        if self.max_iters < 1 or self.max_fun_evals < 1:
-            raise DomainError("iteration and evaluation caps must be >= 1")
-        if self.lbfgs_memory < 1:
-            raise DomainError("lbfgs memory must be >= 1")
-        if self.tol_fun <= 0 or self.tol_x <= 0:
-            raise DomainError("tolerances must be > 0")
+        check_ranges(self, (("typical_x tol_fun tol_x", lambda v: 0 < v < np.inf,
+                             "finite and > 0"),
+                            ("max_fun_evals max_iters lbfgs_memory", lambda v: v >= 1, ">= 1")))
 
 
 @dataclass

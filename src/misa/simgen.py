@@ -13,7 +13,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, ShapeError
+from .errors import DefinitenessError, DomainError, ShapeError, check_ranges
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
@@ -168,34 +168,27 @@ class SimSpec:
         self.dims_v = [int(v) for v in self.dims_v]
         if len(self.dims_v) != M:
             raise ShapeError("dims_v must have one entry per dataset")
+        check_ranges(self, (("subspace_dims", lambda v: v >= 0, ">= 0"),
+                            ("n_obs", lambda v: v >= 2, ">= 2"),
+                            ("family", lambda v: v in ("mvlaplace", "copula"),
+                             "mvlaplace or copula"),
+                            ("rho_max ar_rho", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                            ("cond_target", lambda v: v >= 1.0, ">= 1"),
+                            ("snr_db", lambda v: v > 0.0, "> 0 (inf for noiseless)"),
+                            ("copula_draws", lambda v: v >= 1, ">= 1")))
         c_m = self.subspace_dims.sum(axis=0)
         for V, C in zip(self.dims_v, c_m):
             if V < C:
                 raise DomainError(f"need V_m >= C_m, got V={V} C={C}")
-        if np.any(self.subspace_dims < 0):
-            raise DomainError("subspace dimensions must be nonnegative")
         if np.any(self.subspace_dims.sum(axis=1) < 1):
             raise DomainError("every subspace needs at least one source")
-        if np.any(self.subspace_dims.sum(axis=0) < 1):
+        if np.any(c_m < 1):
             raise DomainError("every dataset needs at least one source")
-        if self.n_obs < 2:
-            raise DomainError("need at least 2 observations")
-        if self.family not in ("mvlaplace", "copula"):
-            raise DomainError(f"unknown source family {self.family!r}")
         for name, count, per in (("cond_target", M, "dataset"), ("rho_max", K, "subspace")):
             value = getattr(self, name)
             if not np.isscalar(value) and len(value) != count:
                 raise ShapeError(f"{name} needs one entry per {per} ({count}), "
                                  f"got {len(value)}")
-        # each test is false for NaN, so NaN is rejected too
-        for name, ok, want in (("rho_max", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                               ("cond_target", lambda v: v >= 1.0, ">= 1"),
-                               ("snr_db", lambda v: v > 0.0, "> 0 (inf for noiseless)"),
-                               ("ar_rho", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                               ("copula_draws", lambda v: v >= 1, ">= 1")):
-            for v in np.ravel(getattr(self, name)):
-                if not ok(v):
-                    raise DomainError(f"{name} must be {want}, got {v}")
 
     def cond_for(self, m: int) -> float:
         if np.isscalar(self.cond_target):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from misa import (
     ExperimentConfig,
     ParseError,
     RunRecord,
+    ShapeError,
     SimSpec,
     SubspaceAssignment,
     config_from_dict,
@@ -136,6 +138,26 @@ class TestConfig:
         cfg = config_from_dict({"experiment": "ica1", "replicates": 2})
         assert cfg.replicates == 2
         assert cfg.reduce == "pre"
+
+    def test_preset_optim_overridden_key_by_key(self):
+        # the other optim keys stay the preset's, not the library defaults
+        cfg = config_from_dict({"experiment": "isa2", "optim": {"max_iters": 500}})
+        assert asdict(cfg.optim) == {**asdict(preset("isa2").optim), "max_iters": 500}
+        assert cfg.optim.tol_fun == 1e-8
+
+    def test_preset_sim_overridden_key_by_key(self):
+        # a preset's sim needs none of its required keys restated
+        cfg = config_from_dict({"experiment": "iva1", "sim": {"rho_max": 0.1}})
+        expected = {**asdict(preset("iva1").sim), "rho_max": 0.1}
+        got = asdict(cfg.sim)
+        assert got.pop("subspace_dims").tolist() == expected.pop("subspace_dims").tolist()
+        assert got == expected
+
+    def test_preset_section_keys_still_checked(self):
+        with pytest.raises(ConfigError, match="n_observations"):
+            config_from_dict({"experiment": "iva1", "sim": {"n_observations": 5}})
+        with pytest.raises(ConfigError, match="max_iters"):
+            config_from_dict({"experiment": "iva1", "optim": {"max_iters": 1.5}})
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -327,6 +349,40 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             run_experiment(smoke_config())
 
+    def test_bad_input_in_replicate_propagates(self, monkeypatch):
+        # only numerical failures are recorded; a ShapeError is a bug or bad
+        # input, so it surfaces
+        def mismatched(*args):
+            raise ShapeError("W and A disagree in shape")
+
+        monkeypatch.setattr(harness, "score_estimate", mismatched)
+        with pytest.raises(ShapeError):
+            run_experiment(smoke_config())
+
+    def test_invariant_dispersion_recovers(self):
+        cfg = config_from_dict({
+            "experiment": "custom",
+            "sim": {"subspace_dims": [[1, 1]] * 3, "dims_v": [3, 3], "n_obs": 2000,
+                    "cond_target": 2.0},
+            "dispersion": "invariant", "optim": {"tol_fun": 1e-8},
+            "replicates": 2, "seed": 1})
+        assert run_experiment(cfg)[1]["good"] is True
+
+    def test_reduce_none_rejects_more_channels_than_sources(self):
+        # 2 sources in 3 channels: noiseless X has rank 2, so without
+        # reduction the objective is unbounded below
+        cfg = config_from_dict({
+            "experiment": "custom",
+            "sim": {"subspace_dims": [[1], [1]], "dims_v": [3], "n_obs": 500}})
+        data, _, P = harness.build_instance(cfg.sim)
+        with pytest.raises(ConfigError, match=r"dataset 0 .*'pre'"):
+            harness.reduce_instance(cfg, data, P)
+
+    def test_reduce_none_accepts_square_blocks(self):
+        cfg = smoke_config()
+        data, _, P = harness.build_instance(cfg.sim)
+        assert harness.reduce_instance(cfg, data, P) == (data, None)
+
     def test_numerical_failure_recorded(self, monkeypatch):
         def singular(*args):
             raise DefinitenessError("dispersion is not positive definite")
@@ -451,7 +507,7 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["good"] is True
 
-    def test_solve_rejects_non_finite_data(self, tmp_path):
+    def test_solve_rejects_non_finite_data(self, tmp_path, capsys):
         # a NaN in a saved instance is named on load, not met as a failed SVD
         cfg = write_smoke_cfg(tmp_path)
         inst = tmp_path / "inst"
@@ -459,9 +515,11 @@ class TestCli:
         X = load_matrix(inst / "X_0.misa")
         X[1, 7] = np.nan
         save_matrix(inst / "X_0.misa", X)
-        with pytest.raises(DomainError, match="dataset 0"):
-            cli_main(["solve", "--config", str(cfg), "--data", str(inst),
-                      "--out", str(tmp_path / "est")])
+        capsys.readouterr()
+        rc = cli_main(["solve", "--config", str(cfg), "--data", str(inst),
+                       "--out", str(tmp_path / "est")])
+        assert rc == 2
+        assert re.match(r"misa: error: dataset 0 ", capsys.readouterr().err)
 
     def test_gradcheck_verb(self, capsys):
         rc = cli_main(["gradcheck", "--seed", "0"])
@@ -482,14 +540,14 @@ class TestCli:
         assert seen == [2, 3]
 
     @pytest.mark.parametrize("flag", [["--threads", "0"], ["--seed", "-1"]])
-    def test_experiment_flags_validated(self, tmp_path, monkeypatch, flag):
+    def test_experiment_flags_validated(self, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.setattr(harness, "run_experiment",
                             lambda cfg: ([], {"good": True}))
         cfg = write_smoke_cfg(tmp_path)
-        with pytest.raises(ConfigError):
-            cli_main(["experiment", "--config", str(cfg), *flag])
+        assert cli_main(["experiment", "--config", str(cfg), *flag]) == 2
+        assert re.match(rf"misa: error: {flag[0][2:]} must be", capsys.readouterr().err)
 
-    def test_solve_gpca_unequal_source_counts_rejected(self, tmp_path):
+    def test_solve_gpca_unequal_source_counts_rejected(self, tmp_path, capsys):
         # gpca keeps C_1 rows per dataset, so unequal C_m cannot be reduced
         cfg = write_smoke_cfg(tmp_path, reduce="gpca",
                               sim={"subspace_dims": [[1, 1], [1, 2]],
@@ -497,10 +555,32 @@ class TestCli:
                                    "cond_target": 2.0})
         inst = tmp_path / "inst"
         assert cli_main(["generate", "--config", str(cfg), "--out", str(inst)]) == 0
-        with pytest.raises(ConfigError, match="gpca"):
-            cli_main(["solve", "--config", str(cfg), "--data", str(inst),
-                      "--out", str(tmp_path / "est")])
+        capsys.readouterr()
+        rc = cli_main(["solve", "--config", str(cfg), "--data", str(inst),
+                       "--out", str(tmp_path / "est")])
+        assert rc == 2
+        assert re.match(r"misa: error: gpca", capsys.readouterr().err)
+
+    def test_unknown_preset_exits_2(self, capsys):
+        assert cli_main(["experiment", "--experiment", "ica99"]) == 2
+        assert capsys.readouterr().err == "misa: error: unknown experiment preset 'ica99'\n"
+
+    def test_score_without_mixing_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        (inst / "A_0.misa").unlink()
+        capsys.readouterr()
+        assert cli_main(["score", "--data", str(inst)]) == 2
+        assert re.match(r"misa: error: .*no mixing matrices", capsys.readouterr().err)
 
     def test_missing_config_and_preset(self):
         with pytest.raises(SystemExit):
             cli_main(["experiment"])
+
+    @pytest.mark.parametrize("verb", ["generate", "solve", "experiment"])
+    def test_config_and_preset_exclusive(self, capsys, verb):
+        # neither silently wins: giving both is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli_main([verb, "--config", "c.json", "--experiment", "iva1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from misa import (
     Status,
     minimize,
 )
-from misa.optimizer import MAX_HALVINGS, lbfgs_direction
+from misa.optimizer import ARMIJO_C, MAX_HALVINGS, lbfgs_direction
 
 
 def vec(x):
@@ -24,6 +24,12 @@ def quadratic(center):
         return 0.5 * float((w - center) @ (w - center)), vec(w - center)
 
     return fg
+
+
+def rosenbrock(W):
+    x, y = W.blocks[0].ravel()
+    f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+    return f, vec([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
 
 
 class TestMinimize:
@@ -41,23 +47,30 @@ class TestMinimize:
         assert np.allclose(sol.W_final.blocks[0].ravel(), [150.0, -2.0], atol=1e-6)
 
     def test_rosenbrock(self):
-        def fg(W):
-            x, y = W.blocks[0].ravel()
-            f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-            g = np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
-            return f, vec(g)
-
-        sol = minimize(fg, vec([-1.2, 1.0]),
+        sol = minimize(rosenbrock, vec([-1.2, 1.0]),
                        OptimOptions(tol_fun=1e-15, tol_x=1e-15, max_iters=2000))
         assert sol.objective_value < 1e-8
 
     def test_trace_steps_satisfy_armijo(self):
-        def fg(W):
-            w = W.blocks[0].ravel()
-            return float(np.sum(w ** 4) + np.sum(w ** 2)), vec(4 * w ** 3 + 2 * w)
+        # Rosenbrock's curved valley makes many full quasi-Newton steps fail
+        # the Armijo test, so the search has to backtrack
+        seen = []
 
-        sol = minimize(fg, vec([3.0, -2.0, 1.0]), OptimOptions(tol_fun=1e-12))
-        assert len(sol.trace) > 0
+        def fg(W):
+            f, G = rosenbrock(W)
+            seen.append((W.blocks[0].ravel().copy(), f, G.blocks[0].ravel()))
+            return f, G
+
+        sol = minimize(fg, vec([-1.2, 1.0]), OptimOptions(tol_fun=1e-12))
+        assert len(sol.trace) > 1
+        # each accepted point is the next evaluation that gave its trace value
+        i = 0
+        for rec in sol.trace:
+            j = next(j for j in range(i + 1, len(seen)) if seen[j][1] == rec.value)
+            (x, f, g), (x_new, f_new, _) = seen[i], seen[j]
+            assert f_new <= f + ARMIJO_C * g @ (x_new - x)
+            i = j
+        assert np.array_equal(seen[i][0], sol.W_final.blocks[0].ravel())
 
     def test_trace_monotone_nonincreasing(self):
         fg = quadratic([5.0, 5.0, 5.0, 5.0])
@@ -105,13 +118,7 @@ class TestMinimize:
         assert sol.status in (Status.CONVERGED_FUN, Status.CONVERGED_X)
 
     def test_max_iter_cap(self):
-        def fg(W):
-            x, y = W.blocks[0].ravel()
-            f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-            g = np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
-            return f, vec(g)
-
-        sol = minimize(fg, vec([-1.2, 1.0]),
+        sol = minimize(rosenbrock, vec([-1.2, 1.0]),
                        OptimOptions(tol_fun=1e-16, tol_x=1e-16, max_iters=3))
         assert sol.status in (Status.MAX_ITER, Status.LINE_SEARCH_FAIL)
         assert sol.n_iters <= 3
@@ -169,6 +176,13 @@ class TestOptions:
     def test_bad_tol(self):
         with pytest.raises(DomainError):
             OptimOptions(tol_fun=0.0)
+
+    @pytest.mark.parametrize("field", ["tol_fun", "tol_x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tol(self, field, value):
+        # NaN <= 0 is False, so only a test NaN fails keeps NaN out
+        with pytest.raises(DomainError, match=rf"^{field} must be finite and > 0"):
+            OptimOptions(**{field: value})
 
     @pytest.mark.parametrize("kw", [{"typical_x": 0.0}, {"typical_x": -1.0},
                                     {"max_iters": 0}, {"max_fun_evals": 0}])
