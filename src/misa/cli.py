@@ -20,7 +20,7 @@ from . import gradcheck
 from . import harness
 from . import metrics
 from .errors import MisaError, ParseError
-from .io import load_matrix, save_matrix
+from .io import load_matrix, read_json, save_matrix, write_json
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
@@ -53,30 +53,29 @@ def cmd_generate(args) -> int:
         "noise_scales": truth.noise_scales,
         "realized_conds": truth.realized_conds,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     print(f"wrote instance to {out}")
     return 0
 
 
 def _load_instance(path):
     root = Path(path)
-    with open(root / "manifest.json") as fh:
-        manifest = json.load(fh)
-    M = manifest["n_datasets"]
+    manifest = read_json(root / "manifest.json")
+    try:
+        M, col_dims = manifest["n_datasets"], manifest["col_dims"]
+    except KeyError as e:
+        raise ParseError(f"{root / 'manifest.json'}: missing key {e}") from None
     data = MultiDataset([load_matrix(root / f"X_{m}.misa") for m in range(M)])
-    P = SubspaceAssignment(load_matrix(root / "P.misa").astype(int),
-                           manifest["col_dims"])
+    P = SubspaceAssignment(load_matrix(root / "P.misa").astype(int), col_dims)
     A = None
     if (root / "A_0.misa").exists():
         A = BlockTransform([load_matrix(root / f"A_{m}.misa") for m in range(M)])
-    return data, P, A, manifest
+    return data, P, A
 
 
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
-    data, P, A, _ = _load_instance(args.data)
+    data, P, A = _load_instance(args.data)
     work, B = harness.reduce_instance(cfg, data, P)
     sol, W_total = harness.solve_instance(cfg, work, P, B, cfg.seed)
 
@@ -88,9 +87,7 @@ def cmd_solve(args) -> int:
               "iterations": sol.n_iters}
     if A is not None:
         result["misi"] = metrics.misi(W_total, A, P)
-    with open(out / "solve.json", "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "solve.json", result)
     print(json.dumps(result))
     return 0 if A is None or result["misi"] < metrics.MISI_GOOD else 1
 
@@ -118,9 +115,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_score(args) -> int:
-    data, P, A, manifest = _load_instance(args.data)
+    data, P, A = _load_instance(args.data)
     if A is None:
-        raise ParseError("instance directory has no mixing matrices to score against")
+        raise ParseError(f"{args.data}: no mixing matrices to score against")
     root = Path(args.data)
     wdir = Path(args.est) if args.est else root
     W = BlockTransform([load_matrix(wdir / f"W_{m}.misa")

@@ -24,7 +24,7 @@ class ShapeError(MisaError, ValueError):
 
 
 class ParseError(MisaError, ValueError):
-    """A persisted matrix or config file could not be parsed."""
+    """An input file could not be read or parsed."""
 
 
 class ConfigError(MisaError, ValueError):

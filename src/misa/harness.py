@@ -4,7 +4,6 @@ benchmark protocols at desk scale, scoring, and results persistence."""
 from __future__ import annotations
 
 import csv
-import json
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +19,7 @@ from . import optimizer as opt
 from . import reduction
 from .errors import (ConfigError, DefinitenessError, DomainError, RankError,
                      check_ranges)
+from .io import read_json, write_json
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from .simgen import SimSpec, build_instance
 
@@ -115,8 +115,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
 
 
 # what each benchmark protocol changes from the SimSpec and ExperimentConfig
@@ -215,7 +214,10 @@ def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
     if cfg.reduce == "gpca":
         if len(set(P.col_dims)) != 1:
             raise ConfigError("gpca reduction requires equal C_m across datasets")
-        B = reduction.gpca_init(data, P.col_dims[0])
+        # the same row spaces with orthonormal rows, as flat L-BFGS steps
+        # stall on gpca_init's non-orthonormal ones
+        B = BlockTransform([np.linalg.qr(Bm.T)[0].T
+                            for Bm in reduction.gpca_init(data, P.col_dims[0]).blocks])
         return MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, data.blocks)]), B
     for m, (V, C) in enumerate(zip(data.dims, P.col_dims)):
         if V != C:
@@ -338,6 +340,4 @@ def write_results(out_dir, records: List[RunRecord], summary: dict) -> None:
         w.writerow(["instance", "replicate", "wall_time"])
         for r in records:
             w.writerow([r.instance, r.replicate, repr(r.wall_time)])
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)

@@ -1,13 +1,16 @@
-"""Matrix persistence: a little-endian binary format and CSV interchange.
+"""File formats: matrices in a little-endian binary format or CSV, and JSON.
 
 Binary layout: magic "MISA", u32 row count, u32 column count, then row-major
 float64 payload. Round-trips are bit-exact. CSV uses 17 significant digits,
-which round-trips IEEE doubles exactly through repr-quality parsing.
+which round-trips IEEE doubles exactly. A file that cannot be read or parsed
+raises a ParseError that names it.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +25,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
     path = Path(path)
     M = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f8")
     if path.suffix.lower() == ".csv":
-        with open(path, "w") as fh:
-            for row in M:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(path, M, fmt="%.17g", delimiter=",")
         return
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, M.shape[0], M.shape[1]))
@@ -33,9 +34,14 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path)
-    raw = path.read_bytes()
+    try:
+        if path.suffix.lower() == ".csv":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy warns on an empty file
+                return np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        raw = path.read_bytes()
+    except (OSError, ValueError, UserWarning) as e:
+        raise _parse_error(path, e) from None
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise ParseError(f"{path}: bad or missing magic at byte 0")
     if len(raw) < _HEADER.size:
@@ -50,24 +56,20 @@ def load_matrix(path) -> np.ndarray:
     return data.reshape(rows, cols).copy()
 
 
-def _load_csv(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ParseError(f"{path}: ragged row {lineno}: "
-                                 f"expected {width} fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as e:
-                raise ParseError(f"{path}: row {lineno}: {e}") from None
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    return np.asarray(rows, dtype=float)
+def read_json(path):
+    """The JSON value stored in path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise _parse_error(path, e) from None
+
+
+def write_json(path, value) -> None:
+    """Write value as JSON with a 2-space indent, sorted keys and a final
+    newline, the byte form of every result file."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def _parse_error(path, e: Exception) -> ParseError:
+    return ParseError(f"{path}: {getattr(e, 'strerror', None) or e}")

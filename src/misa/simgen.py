@@ -17,12 +17,6 @@ from .errors import DefinitenessError, DomainError, ShapeError, check_ranges
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def gen_mixing(V: int, C: int, cond_target: float, seed=0) -> np.ndarray:
     """Random V x C mixing with an exact prescribed condition number.
 
@@ -34,7 +28,7 @@ def gen_mixing(V: int, C: int, cond_target: float, seed=0) -> np.ndarray:
         raise DomainError("need V >= C")
     if cond_target < 1:
         raise DomainError(f"cond_target must be >= 1, got {cond_target}")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     G = rng.standard_normal((V, C))
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     if cond_target == 1 or s[0] - s[-1] < 1e-12 * s[0]:
@@ -80,7 +74,7 @@ def sample_mvlaplace(d: int, R: np.ndarray, N: int, seed=0) -> np.ndarray:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         raise DefinitenessError("R is not positive definite") from None
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     G = rng.standard_normal((d, N))
     U = G / np.linalg.norm(G, axis=0)
     r = rng.gamma(shape=d, scale=1.0, size=N)
@@ -119,7 +113,7 @@ def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
     from scipy.signal import lfilter
     from scipy.special import ndtr
 
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
 
     draws = []
     corrs = []
@@ -220,15 +214,13 @@ def build_instance(spec: SimSpec):
         Y = np.zeros((C_bar, N))
         for k in range(P.n_subspaces):
             idx = P.sources(k)
-            d = len(idx)
-            R = toeplitz_corr(d, spec.rho_for(k)) if d > 1 else np.eye(1)
-            Y[idx] = sample_mvlaplace(d, R, N, rng)
+            R = toeplitz_corr(len(idx), spec.rho_for(k))
+            Y[idx] = sample_mvlaplace(len(idx), R, N, rng)
     else:
         R_joint = np.eye(C_bar)
         for k in range(P.n_subspaces):
             idx = P.sources(k)
-            if len(idx) > 1:
-                R_joint[np.ix_(idx, idx)] = toeplitz_corr(len(idx), spec.rho_for(k))
+            R_joint[np.ix_(idx, idx)] = toeplitz_corr(len(idx), spec.rho_for(k))
         Y = sample_copula_sources(C_bar, N, R_joint, ar_rho=spec.ar_rho,
                                   n_draws=spec.copula_draws, seed=rng)
 

@@ -1,4 +1,10 @@
+import os
 import re
+
+# one BLAS thread per process before numpy loads: on a small box the
+# default pool oversubscribes the cores; a caller's own setting still wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 _criterion_results = {}
 

@@ -55,6 +55,12 @@ class TestMatrixIO:
         with pytest.raises(ParseError, match="row"):
             load_matrix(p)
 
+    def test_csv_empty_rejected(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ParseError, match=re.escape(str(p))):
+            load_matrix(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.misa"
         p.write_bytes(b"")
@@ -383,6 +389,16 @@ class TestRunExperiment:
         data, _, P = harness.build_instance(cfg.sim)
         assert harness.reduce_instance(cfg, data, P) == (data, None)
 
+    def test_gpca_isa_converges(self):
+        # an isa3-shaped run: on the whitened pooled projection's own rows,
+        # every run ended in LineSearchFail at MISI 0.4-0.7
+        cfg = config_from_dict({"experiment": "isa3", "reduce": "gpca",
+                                "sim": {"n_obs": 4000}, "instances": 1,
+                                "replicates": 2, "seed": 1})
+        summary = run_experiment(cfg)[1]
+        assert summary["status_counts"] == {"Converged_fun": 2}
+        assert summary["median_best_misi"] < 0.1
+
     def test_numerical_failure_recorded(self, monkeypatch):
         def singular(*args):
             raise DefinitenessError("dispersion is not positive definite")
@@ -401,6 +417,13 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "summary.json").read_text()) == {"good": True}
         header = (tmp_path / "records.csv").read_text().splitlines()[0]
         assert "wall_time" not in header
+
+    def test_summary_json_byte_form(self, tmp_path):
+        summary = {"good": True, "median_best_misi": 0.0123,
+                   "status_counts": {"MaxIter": 1, "Converged_fun": 3}}
+        write_results(tmp_path, [fake_record(0, 0, 0.01)], summary)
+        assert (tmp_path / "summary.json").read_text() == (
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def correlation_summary_reference(Y_hat, Y_true, P):
@@ -572,6 +595,49 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["score", "--data", str(inst)]) == 2
         assert re.match(r"misa: error: .*no mixing matrices", capsys.readouterr().err)
+
+    def assert_names_file(self, capsys, argv, path):
+        # bad input file: exit 2 and one error line that names the file
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"misa: error: {re.escape(str(path))}: [^\n]+\n", err)
+        return err
+
+    def test_config_not_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"experiment": ')
+        self.assert_names_file(
+            capsys, ["generate", "--config", str(cfg), "--out", str(tmp_path / "inst")], cfg)
+
+    def test_solve_missing_instance_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        self.assert_names_file(
+            capsys, ["solve", "--config", str(write_smoke_cfg(tmp_path)),
+                     "--data", str(missing), "--out", str(tmp_path / "est")],
+            missing / "manifest.json")
+
+    def test_score_truncated_manifest_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        manifest = inst / "manifest.json"
+        manifest.write_text(manifest.read_text()[:20])
+        self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
+
+    def test_score_missing_estimate_exits_2(self, tmp_path, capsys):
+        inst, est = tmp_path / "inst", tmp_path / "est"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        est.mkdir()
+        self.assert_names_file(capsys, ["score", "--data", str(inst), "--est", str(est)],
+                               est / "W_0.misa")
+
+    def test_manifest_missing_key_named(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        manifest = inst / "manifest.json"
+        manifest.write_text(json.dumps({"n_datasets": 1}))
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
+        assert err.endswith(": missing key 'col_dims'\n")
 
     def test_missing_config_and_preset(self):
         with pytest.raises(SystemExit):
