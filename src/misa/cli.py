@@ -61,6 +61,8 @@ def cmd_generate(args) -> int:
 def _load_instance(path):
     root = Path(path)
     manifest = read_json(root / "manifest.json")
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{root / 'manifest.json'}: not a JSON object")
     try:
         M, col_dims = manifest["n_datasets"], manifest["col_dims"]
     except KeyError as e:

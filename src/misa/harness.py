@@ -101,6 +101,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
     if "sim" in d:
         s = d["sim"]
+        if isinstance(s, dict) and "seed" in s:
+            raise ConfigError("sim.seed is not read; instances take the top-level seed")
         if isinstance(s, dict) and isinstance(s.get("snr_db"), str):
             s = {**s, "snr_db": _parse_snr(s["snr_db"])}
         d["sim"] = _section("sim", s, SimSpec, base and base.sim)

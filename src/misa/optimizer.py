@@ -7,6 +7,7 @@ relative gradient. The iterates are unconstrained.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -90,24 +91,6 @@ def lbfgs_direction(g: np.ndarray, s_list: List[np.ndarray],
     return q
 
 
-class _Flat:
-    """Flatten/unflatten between BlockTransform and a parameter vector."""
-
-    def __init__(self, W0: BlockTransform):
-        self.shapes = [b.shape for b in W0.blocks]
-        self.sizes = [int(np.prod(s)) for s in self.shapes]
-
-    def to_vec(self, W: BlockTransform) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in W.blocks])
-
-    def to_blocks(self, x: np.ndarray) -> BlockTransform:
-        out, off = [], 0
-        for shape, size in zip(self.shapes, self.sizes):
-            out.append(x[off:off + size].reshape(shape))
-            off += size
-        return BlockTransform(out)
-
-
 def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]],
              W0: BlockTransform, opts: Optional[OptimOptions] = None) -> Solution:
     """L-BFGS with an Armijo backtracking line search.
@@ -123,25 +106,31 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
     a trial point counts as f = +inf there; at W0 it propagates.
     """
     opts = opts or OptimOptions()
-    flat = _Flat(W0)
+    shapes = [b.shape for b in W0.blocks]
+    cuts = np.cumsum([b.size for b in W0.blocks])[:-1]
+
+    def blocks(x: np.ndarray) -> BlockTransform:
+        return BlockTransform([p.reshape(s) for p, s in zip(np.split(x, cuts), shapes)])
+
+    def vec(W: BlockTransform) -> np.ndarray:
+        return np.concatenate([b.ravel() for b in W.blocks])
 
     evals = [0]
 
     def fg(x: np.ndarray) -> Tuple[float, np.ndarray]:
         evals[0] += 1
-        f, G = f_and_grad(flat.to_blocks(x))
-        return float(f), flat.to_vec(G)
+        f, G = f_and_grad(blocks(x))
+        return float(f), vec(G)
 
-    x = flat.to_vec(W0)
+    x = vec(W0)
     f, g = fg(x)
     trace: List[IterRecord] = []
-    s_hist: List[np.ndarray] = []
-    y_hist: List[np.ndarray] = []
+    pairs = deque(maxlen=opts.lbfgs_memory)  # the latest (s, y), oldest first
     status = Status.MAX_ITER
     n_iter = 0
 
     for n_iter in range(1, opts.max_iters + 1):
-        d = -lbfgs_direction(g, s_hist, y_hist)
+        d = -lbfgs_direction(g, [s for s, _ in pairs], [y for _, y in pairs])
         if g @ d >= 0:
             d = -g
         g0d = float(g @ d)
@@ -149,7 +138,7 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
             status = Status.CONVERGED_X
             break
 
-        if s_hist:
+        if pairs:
             a = 1.0
         else:
             a = min(1.0, x.size * opts.typical_x / max(np.sum(np.abs(d)), 1e-12))
@@ -175,11 +164,7 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
         df = abs(f - f_new)
         dx = float(np.max(np.abs(s))) if s.size else 0.0
         if y @ s > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > opts.lbfgs_memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            pairs.append((s, y))
         x, f, g = x_new, f_new, g_new
         if df < opts.tol_fun * (1.0 + abs(f_new)):
             status = Status.CONVERGED_FUN
@@ -191,5 +176,5 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
             status = Status.MAX_EVAL
             break
 
-    return Solution(W_final=flat.to_blocks(x), objective_value=f, status=status,
+    return Solution(W_final=blocks(x), objective_value=f, status=status,
                     trace=trace, n_iters=n_iter, n_evals=evals[0])

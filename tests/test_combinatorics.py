@@ -113,6 +113,50 @@ class TestMatch:
         with pytest.raises(ShapeError):
             match(P1, P2)
 
+    def test_matches_reference_random(self):
+        # random estimates against random prescribed blocks, whose rows may
+        # be empty; K_est and K_ud differ in most trials
+        rng = np.random.default_rng(11)
+
+        def one_hot(K, C):
+            labels = rng.integers(0, K, C)
+            return (labels == np.arange(K)[:, None]).astype(int)
+
+        more = fewer = empty = 0
+        for _ in range(400):
+            C = int(rng.integers(1, 9))
+            Pe = one_hot(int(rng.integers(1, C + 1)), C)
+            Pe = Pe[Pe.any(axis=1)]
+            Pu = one_hot(int(rng.integers(1, C + 3)), C)
+            np.testing.assert_array_equal(match(Pe, Pu), reference_match(Pe, Pu))
+            more += len(Pe) > len(Pu)  # some estimated subspaces go unmatched
+            fewer += len(Pe) < len(Pu)
+            empty += not Pu.any(axis=1).all()
+        assert min(more, fewer, empty) >= 20
+
+
+def reference_match(Pe, Pu):
+    """The earlier match, kept as the reference: the order is built by
+    listing each matched estimated subspace's sources in prescribed-subspace
+    order, then every source not listed."""
+    C = Pe.shape[1]
+    Ke, Ku = Pe.shape[0], Pu.shape[0]
+    n = max(Ke, Ku)
+    cost = np.zeros((n, n))
+    de = Pe.sum(axis=1)
+    du = Pu.sum(axis=1)
+    cost[:Ke, :Ku] = np.abs(de[:, None] - du[None, :]) * C - Pe @ Pu.T
+    perm = hungarian(cost)
+    est_for_ud = {int(perm[i]): i for i in range(Ke) if perm[i] < Ku}
+    order = []
+    for j in range(Ku):
+        i = est_for_ud.get(j)
+        if i is not None:
+            order.extend(int(c) for c in np.flatnonzero(Pe[i]))
+    used = set(order)
+    order.extend(c for c in range(C) if c not in used)
+    return np.asarray(order, dtype=int)
+
 
 def isa_instance(seed=9, n_obs=4000):
     spec = SimSpec(subspace_dims=np.array([[2], [2]]), dims_v=[4], n_obs=n_obs,

@@ -207,6 +207,15 @@ class TestConfig:
         with pytest.raises(DomainError):
             config_from_dict({"experiment": "isa2", "optim": {"typical_x": -1.0}})
 
+    @pytest.mark.parametrize("experiment", ["custom", "isa2"])
+    def test_sim_seed_rejected(self, experiment):
+        # instance seeds derive from the top-level seed, so sim.seed would
+        # be silently ignored
+        d = self.base() if experiment == "custom" else {"experiment": experiment, "sim": {}}
+        d["sim"]["seed"] = 12345
+        with pytest.raises(ConfigError, match=r"sim\.seed .*top-level seed"):
+            config_from_dict(d)
+
     def test_dispersion_only_with_plain_solver(self):
         # misa-gp would ignore the dispersion, so asking for one is an error
         d = self.base()
@@ -327,6 +336,21 @@ def smoke_config(out_dir=None, threads=1):
     })
 
 
+def isa3_gp_config(out_dir=None, threads=1):
+    # M = 2 misa-gp on isa3's subspace shape: every driver round runs
+    # subspace_perm's exhaustive search
+    return config_from_dict({
+        "experiment": "isa3", "sim": {"n_obs": 1000},
+        "instances": 1, "replicates": 2, "seed": 5,
+        **({"out_dir": out_dir} if out_dir else {}),
+        "threads": threads,
+    })
+
+
+RERUN_CONFIGS = pytest.mark.parametrize("make_config", [smoke_config, isa3_gp_config],
+                                        ids=["smoke", "isa3-gp"])
+
+
 class TestRunExperiment:
     def test_smoke_run_recovers(self):
         records, summary = run_experiment(smoke_config())
@@ -334,17 +358,19 @@ class TestRunExperiment:
         assert summary["median_best_misi"] < 0.1
         assert summary["good"] is True
 
-    def test_byte_identical_rerun(self, tmp_path):
+    @RERUN_CONFIGS
+    def test_byte_identical_rerun(self, tmp_path, make_config):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        run_experiment(smoke_config(str(d1)))
-        run_experiment(smoke_config(str(d2)))
+        run_experiment(make_config(str(d1)))
+        run_experiment(make_config(str(d2)))
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
-    def test_threaded_matches_serial(self, tmp_path):
+    @RERUN_CONFIGS
+    def test_threaded_matches_serial(self, tmp_path, make_config):
         d1, d2 = tmp_path / "s", tmp_path / "t"
-        run_experiment(smoke_config(str(d1), threads=1))
-        run_experiment(smoke_config(str(d2), threads=2))
+        run_experiment(make_config(str(d1), threads=1))
+        run_experiment(make_config(str(d2), threads=2))
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
 
     def test_bug_in_replicate_propagates(self, monkeypatch):
@@ -638,6 +664,14 @@ class TestCli:
         manifest.write_text(json.dumps({"n_datasets": 1}))
         err = self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
         assert err.endswith(": missing key 'col_dims'\n")
+
+    def test_manifest_not_object_named(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        manifest = inst / "manifest.json"
+        manifest.write_text("[]")
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
+        assert err.endswith(": not a JSON object\n")
 
     def test_missing_config_and_preset(self):
         with pytest.raises(SystemExit):

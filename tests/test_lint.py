@@ -22,6 +22,9 @@ No call in ``src/misa`` restates a default: it passes no keyword whose
 source text is that parameter's default, or that dataclass field's default,
 for a function or dataclass defined in ``src/misa``.
 
+Every ```json block in README.md is a config that ``config_from_dict``
+accepts, so the documented format cannot drift from the parser.
+
 README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
@@ -30,6 +33,7 @@ string constant. File names such as ``records.csv`` and the words in
 """
 
 import ast
+import json
 import re
 from collections import Counter
 from dataclasses import MISSING, fields
@@ -159,6 +163,14 @@ def test_readme_names_defined():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
     names = readme_names((ROOT / "README.md").read_text())
     assert sorted(names - defined_names(sources)) == []
+
+
+def test_readme_json_configs_load():
+    blocks = re.findall(r"^```json\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        harness.config_from_dict(json.loads(block))
 
 
 def unpassed_defaults(defining: dict, calling: list) -> list:
