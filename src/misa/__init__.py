@@ -24,7 +24,6 @@ from .model import (
     KotzParams,
     MultiDataset,
     SubspaceAssignment,
-    derive_kotz,
     kotz_from_psi,
     kotz_log_pdf,
 )

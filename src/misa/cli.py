@@ -19,7 +19,7 @@ import numpy as np
 from . import gradcheck
 from . import harness
 from . import metrics
-from .errors import MisaError, ParseError
+from .errors import ConfigError, MisaError, ParseError
 from .io import load_matrix, read_json, save_matrix, write_json
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
@@ -60,13 +60,19 @@ def cmd_generate(args) -> int:
 
 def _load_instance(path):
     root = Path(path)
-    manifest = read_json(root / "manifest.json")
+    path = root / "manifest.json"
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
-        raise ParseError(f"{root / 'manifest.json'}: not a JSON object")
-    try:
-        M, col_dims = manifest["n_datasets"], manifest["col_dims"]
-    except KeyError as e:
-        raise ParseError(f"{root / 'manifest.json'}: missing key {e}") from None
+        raise ParseError(f"{path}: not a JSON object")
+    if "col_dims" not in manifest:
+        raise ParseError(f"{path}: missing key 'col_dims'")
+    col_dims = manifest["col_dims"]
+    # type() is int, not isinstance, so that true and false are rejected
+    if not (isinstance(col_dims, list) and col_dims
+            and all(type(c) is int and c > 0 for c in col_dims)):
+        raise ParseError(f"{path}: col_dims must be a non-empty list of positive "
+                         f"integers, got {json.dumps(col_dims)}")
+    M = len(col_dims)
     data = MultiDataset([load_matrix(root / f"X_{m}.misa") for m in range(M)])
     P = SubspaceAssignment(load_matrix(root / "P.misa").astype(int), col_dims)
     A = None
@@ -106,9 +112,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    worst = gradcheck.audit_objective(seed=seed)
-    worst["pre"] = gradcheck.audit_pre(seed=seed)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    worst = gradcheck.audit_objective(seed=args.seed)
+    worst["pre"] = gradcheck.audit_pre(seed=args.seed)
     ok = all(v < 1e-5 for v in worst.values())
     for name, v in sorted(worst.items()):
         print(f"{name}: max relative error {v:.3e}")
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("score", help="metrics on saved estimates")

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -248,8 +249,8 @@ def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
 
 def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
                    data: MultiDataset, P: SubspaceAssignment, truth,
-                   B: Optional[BlockTransform], i: int, r: int,
-                   inst_seed: int, rep_seed: int) -> RunRecord:
+                   B: Optional[BlockTransform], i: int, inst_seed: int,
+                   r: int, rep_seed: int) -> RunRecord:
     t0 = time.perf_counter()
     misi = mmse = objective = float("nan")
     iterations = 0
@@ -282,19 +283,15 @@ def run_experiment(cfg: ExperimentConfig):
 
         rep_seqs = inst_seqs[i].spawn(cfg.replicates)
         rep_seeds = [int(s.generate_state(1)[0]) for s in rep_seqs]
+        run = partial(_run_replicate, cfg, work_data, data, P, truth, B, i, inst_seed)
         # threads = 1 stays on the calling thread: on a one-thread pool the
         # iva1 benchmark workload took +4% peak RSS and about twice the page
         # faults
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-                futs = [ex.submit(_run_replicate, cfg, work_data, data, P,
-                                  truth, B, i, r, inst_seed, rep_seeds[r])
-                        for r in range(cfg.replicates)]
-                records.extend(f.result() for f in futs)
+                records.extend(ex.map(run, range(cfg.replicates), rep_seeds))
         else:
-            for r in range(cfg.replicates):
-                records.append(_run_replicate(cfg, work_data, data, P, truth,
-                                              B, i, r, inst_seed, rep_seeds[r]))
+            records.extend(map(run, range(cfg.replicates), rep_seeds))
 
     summary = summarize(cfg, records)
     if cfg.out_dir:

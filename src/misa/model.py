@@ -7,13 +7,14 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, ShapeError
+from .errors import DefinitenessError, DomainError, ShapeError, check_ranges
 
 # Canonical parameter triples (beta, lambda, eta).
 PSI_GAUSS = (1.0, 0.5, 1.0)
@@ -77,57 +78,44 @@ class DispersionChoice(Enum):
 class KotzParams:
     """Kotz family parameters for one subspace of dimension d.
 
-    beta controls the shape, lamb the kurtosis, eta the hole size; nu and
-    alpha are derived. Use :func:`derive_kotz` to construct with validation.
+    beta controls the shape, lamb the kurtosis, eta the hole size. They are
+    range-checked on construction (NaN fails every check), and nu, alpha and
+    log_norm_const (the log of the density normalizer, everything except the
+    D and q terms) are derived from them once.
     """
 
     beta: float
     lamb: float
     eta: float
     d: int
-    nu: float
-    alpha: float
+    nu: float = field(init=False)
+    alpha: float = field(init=False)
+    log_norm_const: float = field(init=False)
 
-    @property
-    def log_norm_const(self) -> float:
-        """Log of the density normalizer, everything except the D and q terms."""
+    def __post_init__(self):
+        # an infinite beta or eta would derive nu = 0 or inf, and alpha NaN
+        check_ranges(self, (("d", lambda v: 1 <= v < np.inf, "finite and >= 1"),
+                            ("beta lamb", lambda v: 0 < v < np.inf, "finite and > 0"),
+                            ("eta", lambda v: (2.0 - self.d) / 2.0 < v < np.inf,
+                             f"finite and > (2-d)/2 = {(2.0 - self.d) / 2.0}")))
         # imported here, so that `import misa` loads no scipy module
         from scipy.special import gammaln
 
-        return (
-            np.log(self.beta)
-            + self.nu * np.log(self.lamb)
-            + gammaln(self.d / 2.0)
-            - (self.d / 2.0) * np.log(np.pi)
-            - gammaln(self.nu)
-        )
-
-
-def derive_kotz(beta: float, lamb: float, eta: float, d: int) -> KotzParams:
-    """Validate (beta, lambda, eta) for dimension d and derive (nu, alpha)."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if beta <= 0:
-        raise DomainError(f"beta must be > 0, got {beta}")
-    if lamb <= 0:
-        raise DomainError(f"lambda must be > 0, got {lamb}")
-    if eta <= (2.0 - d) / 2.0:
-        raise DomainError(f"eta must exceed (2-d)/2 = {(2.0 - d) / 2.0}, got {eta}")
-    nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
-    if nu <= 0:
-        raise DomainError(f"derived nu must be > 0, got {nu}")
-    from scipy.special import gammaln
-
-    # alpha = Gamma(nu + 1/beta) / (lambda^{1/beta} d Gamma(nu)), in log space
-    log_alpha = gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - gammaln(nu)
-    return KotzParams(beta=float(beta), lamb=float(lamb), eta=float(eta), d=int(d),
-                      nu=float(nu), alpha=float(np.exp(log_alpha)))
+        beta, lamb, eta, d = float(self.beta), float(self.lamb), float(self.eta), int(self.d)
+        nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
+        # alpha = Gamma(nu + 1/beta) / (lambda^{1/beta} d Gamma(nu)), in log space
+        log_alpha = gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - gammaln(nu)
+        log_norm_const = (np.log(beta) + nu * np.log(lamb) + gammaln(d / 2.0)
+                          - (d / 2.0) * np.log(np.pi) - gammaln(nu))
+        for name, v in (("beta", beta), ("lamb", lamb), ("eta", eta), ("d", d), ("nu", nu),
+                        ("alpha", float(np.exp(log_alpha))),
+                        ("log_norm_const", float(log_norm_const))):
+            object.__setattr__(self, name, v)
 
 
 def kotz_from_psi(psi: Sequence[float], d: int) -> KotzParams:
     """KotzParams from a (beta, lambda, eta) triple such as PSI_LAPLACE."""
-    beta, lamb, eta = psi
-    return derive_kotz(beta, lamb, eta, d)
+    return KotzParams(*psi, d)
 
 
 def kotz_log_pdf(y: np.ndarray, D: np.ndarray, params: KotzParams) -> float:
@@ -192,11 +180,13 @@ class SubspaceAssignment:
     """Sparse 0/1 matrix P (K x C_bar) mapping each source to one subspace.
 
     Columns are ordered dataset-major: the first C_1 columns are dataset 1's
-    sources, and so on. col_dims records [C_1..C_M].
+    sources, and so on. col_dims records [C_1..C_M], and col_offsets
+    (0, C_1, C_1 + C_2, ..., C_bar) where each dataset's columns start.
     """
 
     P: np.ndarray
     col_dims: tuple
+    col_offsets: tuple
 
     def __init__(self, P: np.ndarray, col_dims: Sequence[int]):
         P = np.ascontiguousarray(P, dtype=np.int8)
@@ -214,6 +204,7 @@ class SubspaceAssignment:
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "col_dims", col_dims)
+        object.__setattr__(self, "col_offsets", tuple(accumulate(col_dims, initial=0)))
 
     @property
     def n_subspaces(self) -> int:
@@ -228,36 +219,22 @@ class SubspaceAssignment:
         """d_k, the total source count of each subspace."""
         return self.P.sum(axis=1).astype(int)
 
-    @property
-    def col_offsets(self) -> list:
-        off = [0]
-        for c in self.col_dims:
-            off.append(off[-1] + c)
-        return off
-
     def sources(self, k: int) -> np.ndarray:
         """Global column indices of the sources in subspace k, ascending."""
         return np.flatnonzero(self.P[k])
 
     def dataset_block(self, m: int) -> np.ndarray:
         """P_m, the K x C_m slice for dataset m."""
-        off = self.col_offsets
-        return np.asarray(self.P[:, off[m]:off[m + 1]])
+        return self.P[:, self.col_offsets[m]:self.col_offsets[m + 1]]
 
     def dataset_sources(self, k: int, m: int) -> np.ndarray:
         """Column indices local to dataset m of subspace k's sources there."""
-        off = self.col_offsets
-        cols = self.sources(k)
-        cols = cols[(cols >= off[m]) & (cols < off[m + 1])]
-        return cols - off[m]
+        return np.flatnonzero(self.dataset_block(m)[k])
 
     def per_dataset_dims(self) -> np.ndarray:
         """d_km matrix (K x M): sources of subspace k living in dataset m."""
-        off = self.col_offsets
-        out = np.zeros((self.n_subspaces, len(self.col_dims)), dtype=int)
-        for m in range(len(self.col_dims)):
-            out[:, m] = self.P[:, off[m]:off[m + 1]].sum(axis=1)
-        return out
+        return np.stack([self.dataset_block(m).sum(axis=1, dtype=int)
+                         for m in range(len(self.col_dims))], axis=1)
 
     @staticmethod
     def from_dataset_dims(d_km: np.ndarray) -> "SubspaceAssignment":
@@ -268,14 +245,9 @@ class SubspaceAssignment:
         """
         d_km = np.atleast_2d(np.asarray(d_km, dtype=int))
         K, M = d_km.shape
-        col_dims = d_km.sum(axis=0)
-        P = np.zeros((K, int(col_dims.sum())), dtype=np.int8)
-        off = 0
-        for m in range(M):
-            for k in range(K):
-                P[k, off:off + d_km[k, m]] = 1
-                off += d_km[k, m]
-        return SubspaceAssignment(P, col_dims.tolist())
+        # the subspace of each source column, dataset by dataset
+        labels = np.repeat(np.tile(np.arange(K), M), d_km.T.ravel())
+        return SubspaceAssignment(labels == np.arange(K)[:, None], d_km.sum(axis=0).tolist())
 
     @staticmethod
     def singletons(col_dims: Sequence[int]) -> "SubspaceAssignment":

@@ -184,16 +184,6 @@ class SimSpec:
                 raise ShapeError(f"{name} needs one entry per {per} ({count}), "
                                  f"got {len(value)}")
 
-    def cond_for(self, m: int) -> float:
-        if np.isscalar(self.cond_target):
-            return float(self.cond_target)
-        return float(self.cond_target[m])
-
-    def rho_for(self, k: int) -> float:
-        if np.isscalar(self.rho_max):
-            return float(self.rho_max)
-        return float(self.rho_max[k])
-
 
 @dataclass
 class GroundTruth:
@@ -209,18 +199,20 @@ def build_instance(spec: SimSpec):
     P = SubspaceAssignment.from_dataset_dims(spec.subspace_dims)
     C_bar = P.n_sources
     N = spec.n_obs
+    rhos = np.broadcast_to(np.asarray(spec.rho_max, dtype=float), P.n_subspaces)
+    cond_targets = np.broadcast_to(np.asarray(spec.cond_target, dtype=float), len(spec.dims_v))
 
     if spec.family == "mvlaplace":
         Y = np.zeros((C_bar, N))
         for k in range(P.n_subspaces):
             idx = P.sources(k)
-            R = toeplitz_corr(len(idx), spec.rho_for(k))
+            R = toeplitz_corr(len(idx), rhos[k])
             Y[idx] = sample_mvlaplace(len(idx), R, N, rng)
     else:
         R_joint = np.eye(C_bar)
         for k in range(P.n_subspaces):
             idx = P.sources(k)
-            R_joint[np.ix_(idx, idx)] = toeplitz_corr(len(idx), spec.rho_for(k))
+            R_joint[np.ix_(idx, idx)] = toeplitz_corr(len(idx), rhos[k])
         Y = sample_copula_sources(C_bar, N, R_joint, ar_rho=spec.ar_rho,
                                   n_draws=spec.copula_draws, seed=rng)
 
@@ -229,7 +221,7 @@ def build_instance(spec: SimSpec):
     noiseless = np.isinf(spec.snr_db)
     for m, V in enumerate(spec.dims_v):
         C = P.col_dims[m]
-        A = gen_mixing(V, C, spec.cond_for(m), rng)
+        A = gen_mixing(V, C, cond_targets[m], rng)
         s = np.linalg.svd(A, compute_uv=False)
         conds.append(float(s[0] / s[-1]))
         X = A @ Y[off[m]:off[m + 1]]

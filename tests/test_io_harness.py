@@ -665,6 +665,35 @@ class TestCli:
         err = self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
         assert err.endswith(": missing key 'col_dims'\n")
 
+    @pytest.mark.parametrize("col_dims", ["ab", 5, [5.9, 5], [], [3, 0], [True], None],
+                             ids=["str", "int", "float", "empty", "zero", "bool", "null"])
+    def test_manifest_bad_col_dims_named(self, tmp_path, capsys, col_dims):
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        manifest = inst / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "col_dims": col_dims}))
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], manifest)
+        assert ": col_dims must be a non-empty list of positive integers, got " in err
+
+    @pytest.mark.parametrize("n_datasets", ["2", 2.5, None])
+    def test_manifest_n_datasets_not_read(self, tmp_path, capsys, n_datasets):
+        # the dataset count is len(col_dims); n_datasets is written for
+        # readers of the manifest, not read back
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        save_matrix(inst / "W_0.misa", np.linalg.inv(load_matrix(inst / "A_0.misa")))
+        manifest = inst / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "n_datasets": n_datasets}))
+        capsys.readouterr()
+        assert cli_main(["score", "--data", str(inst)]) == 0
+        assert json.loads(capsys.readouterr().out)["misi"] < 1e-8
+
+    def test_gradcheck_negative_seed_exits_2(self, capsys):
+        assert cli_main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "misa: error: seed must be >= 0, got -1\n"
+
     def test_manifest_not_object_named(self, tmp_path, capsys):
         inst = tmp_path / "inst"
         cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])

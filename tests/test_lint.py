@@ -25,6 +25,9 @@ for a function or dataclass defined in ``src/misa``.
 Every ```json block in README.md is a config that ``config_from_dict``
 accepts, so the documented format cannot drift from the parser.
 
+Every name a ```python block in README.md imports ``from misa`` is an
+attribute of ``misa``, so the documented API cannot name a removed export.
+
 README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
@@ -41,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+import misa
 from misa import harness
 from misa.harness import ExperimentConfig
 from misa.simgen import SimSpec
@@ -171,6 +175,26 @@ def test_readme_json_configs_load():
     assert blocks
     for block in blocks:
         harness.config_from_dict(json.loads(block))
+
+
+def misa_imports(source: str) -> set:
+    """Names imported ``from misa`` by the source."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "misa"
+            for a in node.names}
+
+
+def test_misa_imports_scan():
+    src = "import misa\nfrom misa import (a,\n    b as c)\nfrom misa.io import d\n"
+    assert misa_imports(src) == {"a", "b"}
+
+
+def test_readme_python_imports_exist():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    names = set().union(*map(misa_imports, blocks))
+    assert names
+    assert sorted(n for n in names if not hasattr(misa, n)) == []
 
 
 def unpassed_defaults(defining: dict, calling: list) -> list:

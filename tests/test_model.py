@@ -9,10 +9,10 @@ from misa import (
     BlockTransform,
     DefinitenessError,
     DomainError,
+    KotzParams,
     MultiDataset,
     ShapeError,
     SubspaceAssignment,
-    derive_kotz,
     kotz_from_psi,
     kotz_log_pdf,
 )
@@ -20,16 +20,16 @@ from misa import (
 
 class TestDeriveKotz:
     def test_gauss_d1_nu(self):
-        p = derive_kotz(1.0, 0.5, 1.0, 1)
+        p = KotzParams(1.0, 0.5, 1.0, 1)
         assert p.nu == pytest.approx(0.5)
 
     def test_laplace_d1_nu_alpha(self):
-        p = derive_kotz(0.5, 1.0, 1.0, 1)
+        p = KotzParams(0.5, 1.0, 1.0, 1)
         assert p.nu == pytest.approx(1.0)
         assert p.alpha == pytest.approx(2.0)  # Gamma(3)/Gamma(1) = 2
 
     def test_gauss_d2_nu(self):
-        p = derive_kotz(1.0, 0.5, 1.0, 2)
+        p = KotzParams(1.0, 0.5, 1.0, 2)
         assert p.nu == pytest.approx(1.0)
 
     def test_gauss_alpha_is_one_any_d(self):
@@ -41,19 +41,43 @@ class TestDeriveKotz:
             assert kotz_from_psi(PSI_LAPLACE, d).alpha == pytest.approx(d + 1.0)
 
     @pytest.mark.parametrize("bad", [
-        dict(beta=0.0, lamb=1.0, eta=1.0, d=1),
-        dict(beta=-1.0, lamb=1.0, eta=1.0, d=1),
-        dict(beta=1.0, lamb=0.0, eta=1.0, d=1),
-        dict(beta=1.0, lamb=1.0, eta=0.5, d=1),  # eta must exceed (2-d)/2
-        dict(beta=1.0, lamb=1.0, eta=1.0, d=0),
+        dict(beta=0.0, lamb=1.0, eta=1.0, d=1, field="beta"),
+        dict(beta=-1.0, lamb=1.0, eta=1.0, d=1, field="beta"),
+        dict(beta=1.0, lamb=0.0, eta=1.0, d=1, field="lamb"),
+        dict(beta=1.0, lamb=1.0, eta=0.5, d=1, field="eta"),  # eta must exceed (2-d)/2
+        dict(beta=1.0, lamb=1.0, eta=1.0, d=0, field="d"),
+        dict(beta=np.nan, lamb=1.0, eta=1.0, d=1, field="beta"),
+        dict(beta=1.0, lamb=np.nan, eta=1.0, d=1, field="lamb"),
+        dict(beta=1.0, lamb=1.0, eta=np.nan, d=1, field="eta"),
+        dict(beta=1.0, lamb=1.0, eta=1.0, d=np.nan, field="d"),
+        # an infinite beta or eta would derive nu = 0 or inf
+        dict(beta=np.inf, lamb=1.0, eta=1.0, d=2, field="beta"),
+        dict(beta=1.0, lamb=1.0, eta=np.inf, d=2, field="eta"),
     ])
     def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            derive_kotz(bad["beta"], bad["lamb"], bad["eta"], bad["d"])
+        with pytest.raises(DomainError, match=rf"^{bad['field']} must be"):
+            KotzParams(bad["beta"], bad["lamb"], bad["eta"], bad["d"])
+
+    @pytest.mark.parametrize("psi, d", [(PSI_GAUSS, d) for d in range(1, 7)]
+                             + [(PSI_LAPLACE, d) for d in range(1, 7)]
+                             + [((1.3, 0.7, 1.5), d) for d in range(1, 7)])
+    def test_derived_values_match_reference(self, psi, d):
+        # the formulas as they stood in the former derive_kotz function and
+        # log_norm_const property, kept here as the reference
+        from scipy.special import gammaln
+
+        beta, lamb, eta = psi
+        nu = float((2.0 * eta + d - 2.0) / (2.0 * beta))
+        log_alpha = gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - gammaln(nu)
+        log_norm_const = (np.log(beta) + nu * np.log(lamb) + gammaln(d / 2.0)
+                          - (d / 2.0) * np.log(np.pi) - gammaln(nu))
+        p = KotzParams(*psi, d)
+        assert (p.nu, p.alpha, p.log_norm_const) == (
+            nu, float(np.exp(log_alpha)), log_norm_const)
 
     def test_nu_monotone_in_eta(self):
-        base = derive_kotz(1.3, 0.7, 1.0, 3).nu
-        up = derive_kotz(1.3, 0.7, 1.5, 3).nu
+        base = KotzParams(1.3, 0.7, 1.0, 3).nu
+        up = KotzParams(1.3, 0.7, 1.5, 3).nu
         assert up > base
 
 
@@ -179,6 +203,40 @@ class TestSubspaceAssignment:
         assert list(sa.dataset_sources(0, 1)) == [0]
         assert list(sa.dataset_sources(1, 1)) == [1, 2]
         np.testing.assert_array_equal(sa.per_dataset_dims(), [[2, 1], [1, 2]])
+
+    @staticmethod
+    def reference_p(d_km):
+        # P as the former loop in from_dataset_dims built it
+        K, M = d_km.shape
+        P = np.zeros((K, int(d_km.sum())), dtype=np.int8)
+        off = 0
+        for m in range(M):
+            for k in range(K):
+                P[k, off:off + d_km[k, m]] = 1
+                off += d_km[k, m]
+        return P
+
+    def test_from_dataset_dims_matches_reference(self):
+        rng = np.random.default_rng(0)
+        seen_zero = 0
+        for _ in range(300):
+            K, M = rng.integers(1, 5, size=2)
+            d_km = rng.integers(0, 4, size=(K, M))
+            d_km[d_km.sum(axis=1) == 0, rng.integers(M)] = 1  # no empty subspace
+            seen_zero += np.any(d_km == 0)
+            sa = SubspaceAssignment.from_dataset_dims(d_km)
+            np.testing.assert_array_equal(sa.P, self.reference_p(d_km))
+            c_m = d_km.sum(axis=0)
+            assert sa.col_offsets == (0, *np.cumsum(c_m).tolist())
+            assert all(type(o) is int for o in sa.col_offsets)
+            np.testing.assert_array_equal(sa.per_dataset_dims(), d_km)
+            for k in range(K):
+                for m in range(M):
+                    cols = sa.sources(k)
+                    local = cols[(cols >= sa.col_offsets[m])
+                                 & (cols < sa.col_offsets[m + 1])] - sa.col_offsets[m]
+                    np.testing.assert_array_equal(sa.dataset_sources(k, m), local)
+        assert seen_zero > 100
 
     def test_singletons(self):
         sa = SubspaceAssignment.singletons([2, 2])

@@ -225,10 +225,15 @@ class TestSimSpec:
                     n_obs=100, **{field: values})
 
     def test_matching_lists_accepted(self):
-        spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0], [0, 1]]), dims_v=[2, 2],
-                       n_obs=100, cond_target=[2.0, 3.0], rho_max=[0.3, 0.4, 0.5])
-        assert [spec.cond_for(m) for m in range(2)] == [2.0, 3.0]
-        assert [spec.rho_for(k) for k in range(3)] == [0.3, 0.4, 0.5]
+        # each entry reaches its own dataset or subspace: the mixings take
+        # the listed condition numbers, and each two-source subspace its
+        # listed within-subspace correlation
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1], [2, 0]]), dims_v=[4, 2],
+                       n_obs=20000, cond_target=[2.0, 3.0], rho_max=[0.1, 0.4, 0.7])
+        _, truth, P = build_instance(spec)
+        np.testing.assert_allclose(truth.realized_conds, [2.0, 3.0], rtol=1e-8)
+        corr = [np.corrcoef(truth.Y[P.sources(k)])[0, 1] for k in range(3)]
+        np.testing.assert_allclose(corr, [0.1, 0.4, 0.7], atol=0.05)
 
     @pytest.mark.parametrize("field, value", [
         ("rho_max", 7.0), ("rho_max", 1.0), ("rho_max", -0.1), ("rho_max", [0.3, 1.5]),
@@ -246,8 +251,10 @@ class TestSimSpec:
     def test_range_bounds_accepted(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2], n_obs=100,
                        rho_max=0.0, cond_target=[1.0, 1.0], snr_db=np.inf, ar_rho=0.0,
-                       copula_draws=1)
-        assert spec.rho_for(0) == 0.0
+                       copula_draws=1, family="copula")
+        _, truth, _ = build_instance(spec)
+        np.testing.assert_allclose(truth.realized_conds, [1.0, 1.0], rtol=1e-8)
+        assert truth.noise_scales == [0.0, 0.0]
 
 
 class TestBuildInstance:
