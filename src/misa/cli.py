@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,7 +75,11 @@ def _load_instance(path):
                          f"integers, got {json.dumps(col_dims)}")
     M = len(col_dims)
     data = MultiDataset([load_matrix(root / f"X_{m}.misa") for m in range(M)])
-    P = SubspaceAssignment(load_matrix(root / "P.misa").astype(int), col_dims)
+    path = root / "P.misa"
+    P = load_matrix(path)
+    if not np.all((P == 0) | (P == 1)):
+        raise ParseError(f"{path}: every entry must be 0 or 1")
+    P = SubspaceAssignment(P.astype(int), col_dims)
     A = None
     if (root / "A_0.misa").exists():
         A = BlockTransform([load_matrix(root / f"A_{m}.misa") for m in range(M)])
@@ -176,8 +181,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _openblas(fn: str) -> list:
+    """The function fn ("set_num_threads" or "get_num_threads") of each
+    OpenBLAS that the numpy and scipy wheels bundle; empty when there is
+    none, as with another BLAS or another install layout."""
+    import ctypes
+
+    site = Path(np.__file__).resolve().parent.parent
+    libs = [*sorted(site.glob("numpy.libs/libscipy_openblas*.so*")),
+            *sorted(site.glob("scipy.libs/libscipy_openblas*.so*"))]
+    found = []
+    for lib in libs:
+        so = ctypes.CDLL(str(lib))
+        for sym in (f"scipy_openblas_{fn}64_", f"scipy_openblas_{fn}", f"openblas_{fn}"):
+            if hasattr(so, sym):
+                f = getattr(so, sym)
+                f.argtypes, f.restype = (([ctypes.c_int], None) if fn == "set_num_threads"
+                                         else ([], ctypes.c_int))
+                found.append(f)
+                break
+    return found
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one BLAS thread unless OPENBLAS_NUM_THREADS sets the count: the solves'
+    # products are small, and extra threads only contend for the cores
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        for set_threads in _openblas("set_num_threads"):
+            set_threads(1)
     try:
         return args.fn(args)
     except MisaError as e:

@@ -7,6 +7,7 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -114,7 +115,15 @@ class KotzParams:
 
 
 def kotz_from_psi(psi: Sequence[float], d: int) -> KotzParams:
-    """KotzParams from a (beta, lambda, eta) triple such as PSI_LAPLACE."""
+    """KotzParams from a (beta, lambda, eta) triple such as PSI_LAPLACE; one
+    shared (frozen) instance per triple and d, so callers that score many
+    subspaces do not rebuild and re-check it."""
+    return _kotz_cached(tuple(psi), d)
+
+
+@functools.lru_cache(maxsize=None)
+def _kotz_cached(psi: tuple, d: int) -> KotzParams:
+    # an invalid triple raises on every call: lru_cache stores no exception
     return KotzParams(*psi, d)
 
 

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from misa import (
     summarize,
     write_results,
 )
+import misa
 from misa import harness
 from misa.cli import main as cli_main
 
@@ -689,6 +694,44 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["score", "--data", str(inst)]) == 0
         assert json.loads(capsys.readouterr().out)["misi"] < 1e-8
+
+    @pytest.mark.parametrize("entry", [1.7, np.nan], ids=["fraction", "nan"])
+    def test_assignment_not_0_1_named(self, tmp_path, capsys, entry):
+        # a fractional entry was truncated to int and scored; NaN failed
+        # with an error that did not name the file
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        save_matrix(inst / "W_0.misa", np.linalg.inv(load_matrix(inst / "A_0.misa")))
+        P = load_matrix(inst / "P.misa")
+        P[0, np.flatnonzero(P[0])[0]] = entry
+        save_matrix(inst / "P.misa", P)
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], inst / "P.misa")
+        assert err.endswith(": every entry must be 0 or 1\n")
+
+    @pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                             ids=["default", "explicit"])
+    def test_cli_blas_threads(self, env, threads):
+        # the BLAS thread count before and after cli.main, in a fresh process;
+        # gradcheck --seed -1 returns at once
+        code = ("import json\nfrom misa import cli\n"
+                "count = lambda: [f() for f in cli._openblas('get_num_threads')]\n"
+                "before = count()\n"
+                "cli.main(['gradcheck', '--seed', '-1'])\n"
+                "print(json.dumps([before, count()]))")
+        src = str(Path(misa.__file__).resolve().parents[1])
+        # OpenBLAS also reads these two, and tests/conftest.py sets OMP to 1
+        unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in unset}
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**base, **env, "PYTHONPATH": path})
+        before, after = json.loads(out.stdout.splitlines()[-1])
+        if not after:
+            pytest.skip("no OpenBLAS bundled with numpy or scipy")
+        cores = len(os.sched_getaffinity(0))
+        assert after == [min(threads, cores)] * len(after)
+        if not env and cores > 1:  # importing misa left the count alone
+            assert min(before) > 1
 
     def test_gradcheck_negative_seed_exits_2(self, capsys):
         assert cli_main(["gradcheck", "--seed", "-1"]) == 2

@@ -75,6 +75,19 @@ class TestDeriveKotz:
         assert (p.nu, p.alpha, p.log_norm_const) == (
             nu, float(np.exp(log_alpha)), log_norm_const)
 
+    def test_kotz_from_psi_shares_one_instance(self):
+        # one frozen KotzParams per triple and d; a list triple finds it too
+        p = kotz_from_psi(PSI_LAPLACE, 3)
+        assert kotz_from_psi(list(PSI_LAPLACE), 3) is p
+        assert kotz_from_psi(PSI_LAPLACE, 2) is not p
+        assert p == KotzParams(*PSI_LAPLACE, 3)
+
+    def test_kotz_from_psi_rejects_nan_every_call(self):
+        # a failed construction is not cached, so a bad triple raises each time
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^beta must be"):
+                kotz_from_psi((np.nan, 1.0, 1.0), 1)
+
     def test_nu_monotone_in_eta(self):
         base = KotzParams(1.3, 0.7, 1.0, 3).nu
         up = KotzParams(1.3, 0.7, 1.5, 3).nu
