@@ -20,7 +20,7 @@ import numpy as np
 from . import gradcheck
 from . import harness
 from . import metrics
-from .errors import ConfigError, MisaError, ParseError
+from .errors import ConfigError, MisaError, ParseError, ShapeError
 from .io import load_matrix, read_json, save_matrix, write_json
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
@@ -77,13 +77,25 @@ def _load_instance(path):
     data = MultiDataset([load_matrix(root / f"X_{m}.misa") for m in range(M)])
     path = root / "P.misa"
     P = load_matrix(path)
-    if not np.all((P == 0) | (P == 1)):
-        raise ParseError(f"{path}: every entry must be 0 or 1")
-    P = SubspaceAssignment(P.astype(int), col_dims)
+    try:
+        P = SubspaceAssignment(P, col_dims)
+    except ShapeError as e:
+        raise ParseError(f"{path}: {e}") from None
     A = None
     if (root / "A_0.misa").exists():
-        A = BlockTransform([load_matrix(root / f"A_{m}.misa") for m in range(M)])
+        A = BlockTransform([_load_shaped(root / f"A_{m}.misa", (V, C))
+                            for m, (V, C) in enumerate(zip(data.dims, col_dims))])
     return data, P, A
+
+
+def _load_shaped(path, shape) -> np.ndarray:
+    """load_matrix, with a ParseError naming the file unless the matrix has
+    the given shape."""
+    X = load_matrix(path)
+    if X.shape != shape:
+        raise ParseError(f"{path}: expected a {shape[0]} x {shape[1]} matrix for this "
+                         f"instance, got {X.shape[0]} x {X.shape[1]}")
+    return X
 
 
 def cmd_solve(args) -> int:
@@ -134,9 +146,11 @@ def cmd_score(args) -> int:
         raise ParseError(f"{args.data}: no mixing matrices to score against")
     root = Path(args.data)
     wdir = Path(args.est) if args.est else root
-    W = BlockTransform([load_matrix(wdir / f"W_{m}.misa")
-                        for m in range(data.n_datasets)])
-    Y_true = load_matrix(root / "Y.misa") if (root / "Y.misa").exists() else None
+    W = BlockTransform([_load_shaped(wdir / f"W_{m}.misa", (C, V))
+                        for m, (V, C) in enumerate(zip(data.dims, P.col_dims))])
+    Y_true = None
+    if (root / "Y.misa").exists():
+        Y_true = _load_shaped(root / "Y.misa", (P.n_sources, data.n_obs))
     out = harness.score_estimate(W, A, P, data, Y_true)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0 if out["misi"] < metrics.MISI_GOOD else 1

@@ -198,12 +198,14 @@ class SubspaceAssignment:
     col_offsets: tuple
 
     def __init__(self, P: np.ndarray, col_dims: Sequence[int]):
-        P = np.ascontiguousarray(P, dtype=np.int8)
+        P = np.asarray(P)
         col_dims = tuple(int(c) for c in col_dims)
         if P.ndim != 2:
             raise ShapeError("P must be a matrix")
+        # before the cast, which would truncate 1.7 and wrap 257 to 1
         if not np.all((P == 0) | (P == 1)):
-            raise ShapeError("P entries must be 0 or 1")
+            raise ShapeError("every entry must be 0 or 1")
+        P = np.ascontiguousarray(P, dtype=np.int8)
         if sum(col_dims) != P.shape[1]:
             raise ShapeError("column count of P must equal sum of per-dataset source counts")
         if not np.all(P.sum(axis=0) == 1):

@@ -47,7 +47,6 @@ def svd_terms(W_m: np.ndarray):
 @dataclass(frozen=True)
 class ObjectiveReport:
     value: float
-    terms: dict
     gradient: Optional[BlockTransform] = None
 
 
@@ -242,12 +241,9 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
 
     jd_sum = sum(jd)
     jc_sum, jf_sum, je_sum = (sum(t) for t in per_k.tolist())  # in k order
-    f_const = ctx.f_constant
-    value = -jd_sum + 0.5 * jc_sum - f_const - jf_sum + je_sum
-    terms = {"J_D": jd_sum, "J_C": jc_sum, "J_F": jf_sum, "J_E": je_sum,
-             "f": f_const}
+    value = -jd_sum + 0.5 * jc_sum - ctx.f_constant - jf_sum + je_sum
     gradient = BlockTransform(grads) if with_gradient else None
-    return ObjectiveReport(value=float(value), terms=terms, gradient=gradient)
+    return ObjectiveReport(value=float(value), gradient=gradient)
 
 
 def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment) -> float:

@@ -45,18 +45,10 @@ class OptimOptions:
 
 
 @dataclass
-class IterRecord:
-    value: float
-    grad_norm: float
-    step: float
-
-
-@dataclass
 class Solution:
     W_final: BlockTransform
     objective_value: float
     status: Status
-    trace: List[IterRecord]
     n_iters: int
     n_evals: int
 
@@ -124,7 +116,6 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
 
     x = vec(W0)
     f, g = fg(x)
-    trace: List[IterRecord] = []
     pairs = deque(maxlen=opts.lbfgs_memory)  # the latest (s, y), oldest first
     status = Status.MAX_ITER
     n_iter = 0
@@ -159,8 +150,6 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
 
         s = x_new - x
         y = g_new - g
-        trace.append(IterRecord(value=f_new, grad_norm=float(np.linalg.norm(g_new)),
-                                step=float(a)))
         df = abs(f - f_new)
         dx = float(np.max(np.abs(s))) if s.size else 0.0
         if y @ s > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -177,4 +166,4 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
             break
 
     return Solution(W_final=blocks(x), objective_value=f, status=status,
-                    trace=trace, n_iters=n_iter, n_evals=evals[0])
+                    n_iters=n_iter, n_evals=evals[0])

@@ -62,7 +62,6 @@ def pre_gradient(W: BlockTransform, X: MultiDataset) -> BlockTransform:
 class ReductionResult:
     B_star: BlockTransform
     reduced: MultiDataset
-    final_error: List[float]
     # always 0 per dataset (the reduction is closed form); kept because the
     # benchmark tracer in perfbench/tracer.py reads it
     iterations: List[int]
@@ -73,8 +72,9 @@ def reduce_data(X: MultiDataset, target_dims: Sequence[int]) -> ReductionResult:
 
     B*_m holds the top-C_m eigenvectors of X_m X_m^T as orthonormal rows, in
     descending eigenvalue order: any W whose row space is that eigenspace
-    minimizes PRE (Eckart & Young 1936), so final_error is the share of data
-    power in the trailing V_m - C_m eigenvalues.
+    minimizes PRE (Eckart & Young 1936), and the PRE of B*_m on X_m is the
+    share of data power in the trailing V_m - C_m eigenvalues. Zero-power
+    data raises a DomainError.
     """
     target_dims = [int(c) for c in target_dims]
     if len(target_dims) != X.n_datasets:
@@ -85,13 +85,12 @@ def reduce_data(X: MultiDataset, target_dims: Sequence[int]) -> ReductionResult:
         if C < 1:
             raise DomainError("target dimension must be >= 1")
 
+    for Xm in X.blocks:
+        _x_norm(Xm)  # rejects zero-power data
     B = BlockTransform([np.linalg.eigh(Xm @ Xm.T)[1][:, ::-1][:, :C].T
                         for C, Xm in zip(target_dims, X.blocks)])
-    # _block_pre rejects zero-power data
-    errs = [_block_pre(Bm, Xm) for Bm, Xm in zip(B.blocks, X.blocks)]
     Z = MultiDataset([Bm @ Xm for Bm, Xm in zip(B.blocks, X.blocks)])
-    return ReductionResult(B_star=B, reduced=Z, final_error=errs,
-                           iterations=[0] * len(errs))
+    return ReductionResult(B_star=B, reduced=Z, iterations=[0] * X.n_datasets)
 
 
 def gpca_init(X: MultiDataset, C: int) -> BlockTransform:

@@ -26,8 +26,8 @@ def gen_mixing(V: int, C: int, cond_target: float, seed=0) -> np.ndarray:
     """
     if V < C:
         raise DomainError("need V >= C")
-    if cond_target < 1:
-        raise DomainError(f"cond_target must be >= 1, got {cond_target}")
+    if not 1 <= cond_target < np.inf:  # false for NaN
+        raise DomainError(f"cond_target must be finite and >= 1, got {cond_target}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((V, C))
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
@@ -45,7 +45,7 @@ def snr_scale(A: np.ndarray, V: int, snr_db: float) -> float:
     """Noise amplitude a making the power ratio (P_x + P_e)/P_e hit the
     prescribed SNR for white sensor noise of V channels."""
     snr = 10.0 ** (snr_db / 10.0)
-    if snr <= 1.0:
+    if not snr > 1.0:  # false for NaN
         raise DomainError(f"snr must exceed 1 (0 dB); got {snr_db} dB")
     return float(np.sqrt(np.trace(A @ A.T) / (V * (snr - 1.0))))
 
@@ -167,7 +167,7 @@ class SimSpec:
                             ("family", lambda v: v in ("mvlaplace", "copula"),
                              "mvlaplace or copula"),
                             ("rho_max ar_rho", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                            ("cond_target", lambda v: v >= 1.0, ">= 1"),
+                            ("cond_target", lambda v: 1.0 <= v < np.inf, "finite and >= 1"),
                             ("snr_db", lambda v: v > 0.0, "> 0 (inf for noiseless)"),
                             ("copula_draws", lambda v: v >= 1, ">= 1")))
         c_m = self.subspace_dims.sum(axis=0)

@@ -708,6 +708,42 @@ class TestCli:
         err = self.assert_names_file(capsys, ["score", "--data", str(inst)], inst / "P.misa")
         assert err.endswith(": every entry must be 0 or 1\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda P: P[:, :2], "column count of P must equal"),
+        (lambda P: P + np.eye(3)[[1, 2, 0]], "each source column must belong"),
+        (np.zeros_like, "each source column must belong")],
+        ids=["too-few-columns", "source-in-two", "all-zero"])
+    def test_assignment_structure_named(self, tmp_path, capsys, edit, message):
+        # these passed through as bare ShapeErrors that did not name the file
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        save_matrix(inst / "P.misa", edit(load_matrix(inst / "P.misa")))
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], inst / "P.misa")
+        assert f"P.misa: {message}" in err
+
+    @pytest.mark.parametrize("name, shape", [("W_0.misa", (3, 2)), ("A_0.misa", (3, 2)),
+                                             ("Y.misa", (3, 100))], ids=["W", "A", "Y"])
+    def test_score_wrong_shape_named(self, tmp_path, capsys, name, shape):
+        # the smoke instance has V = C = 3 and N = 2000; each of these ended
+        # in a numpy traceback
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        save_matrix(inst / "W_0.misa", np.linalg.inv(load_matrix(inst / "A_0.misa")))
+        save_matrix(inst / name, np.ones(shape))
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], inst / name)
+        expected = "3 x 2000" if name == "Y.misa" else "3 x 3"
+        assert err.endswith(f": expected a {expected} matrix for this instance, "
+                            f"got {shape[0]} x {shape[1]}\n")
+
+    def test_infinite_cond_target_rejected(self, tmp_path, capsys):
+        # json reads Infinity as inf, which failed later in the SVD
+        cfg = write_smoke_cfg(tmp_path, sim={"subspace_dims": [[1], [1], [1]], "dims_v": [3],
+                                             "n_obs": 2000, "cond_target": float("inf")})
+        capsys.readouterr()
+        assert cli_main(["generate", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 2
+        assert capsys.readouterr().err == (
+            "misa: error: cond_target must be finite and >= 1, got inf\n")
+
     @pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
                              ids=["default", "explicit"])
     def test_cli_blas_threads(self, env, threads):

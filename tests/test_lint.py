@@ -22,6 +22,10 @@ No call in ``src/misa`` restates a default: it passes no keyword whose
 source text is that parameter's default, or that dataclass field's default,
 for a function or dataclass defined in ``src/misa``.
 
+No field declared in a class body in ``src/misa`` goes unread: each is read
+as an attribute somewhere in ``src/misa`` or ``perfbench``. A result field
+only tests read is deleted, with the code that fills it.
+
 Every ```json block in README.md is a config that ``config_from_dict``
 accepts, so the documented format cannot drift from the parser.
 
@@ -399,3 +403,50 @@ def test_no_orphan_defs():
     # the closed-form Kotz log-density is the reference the criterion-3
     # checks need, though no solver calls it
     assert orphan_defs(sources, bench, exempt={"kotz_log_pdf"}) == []
+
+
+def unread_fields(defining: dict, reading: list, exempt=frozenset()) -> list:
+    """(module, class, field) for each field declared in a class body (an
+    annotated name, as a dataclass declares it) in the modules {stem: source}
+    of ``defining`` whose name no source in ``reading`` reads as an
+    attribute. Fields match reads by name alone, whatever the object read.
+    The names in ``exempt`` are classes or ``Class.field`` pairs."""
+    reads = set()
+    for source in reading:
+        reads.update(n.attr for n in ast.walk(ast.parse(source))
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = []
+    for stem, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or cls.name in exempt:
+                continue
+            unread += [(stem, cls.name, f.target.id) for f in cls.body
+                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                       and f.target.id not in reads
+                       and f"{cls.name}.{f.target.id}" not in exempt]
+    return sorted(unread)
+
+
+def test_unread_field_scan():
+    mod = ("@dataclass\nclass R:\n    value: float\n    planted: int = 0\n"
+           "    rows: list = field(default_factory=list)\n"
+           "    def f(self): return self.value\n"
+           "class Columns:\n    a: int\n"
+           "class K:\n    nu: float\n    mu: float\n    X = 1\n")
+    use = "r.rows.append(1)\nr.planted = 2\n'planted'\nK().mu\n"
+    # a write, or the name in a string, is no read
+    assert unread_fields({"mod": mod}, [mod, use]) == [
+        ("mod", "Columns", "a"), ("mod", "K", "nu"), ("mod", "R", "planted")]
+    assert unread_fields({"mod": mod}, [mod, use], exempt={"Columns", "K.nu"}) == [
+        ("mod", "R", "planted")]
+
+
+def test_no_unread_fields():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
+    reading = [*sources.values(), *(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))]
+    # RunRecord's fields are the records.csv columns, written through
+    # dataclasses.fields; KotzParams.nu is the Kotz nu the README documents
+    # and the closed-form tests pin. The scan matches names only, so a read
+    # of an unrelated attribute of the same name keeps a field: np.trace
+    # would hide an unread field named trace.
+    assert unread_fields(sources, reading, exempt={"RunRecord", "KotzParams.nu"}) == []

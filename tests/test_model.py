@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -206,6 +208,15 @@ class TestSubspaceAssignment:
         P = np.array([[1, 1], [0, 0]])
         with pytest.raises(ShapeError):
             SubspaceAssignment(P, [2])
+
+    @pytest.mark.parametrize("P", [[[1.7, 0], [0.2, 1]], [[257, 0], [0, 1]],
+                                   [[np.nan, 0], [0, 1]]], ids=["fraction", "wraps", "nan"])
+    def test_entries_checked_before_cast(self, P):
+        # an int8 cast reads the first two as the identity, and warns on NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="^every entry must be 0 or 1$"):
+                SubspaceAssignment(np.array(P), [2])
 
     def test_dims_and_slices(self):
         sa = SubspaceAssignment.from_dataset_dims(np.array([[2, 1], [1, 2]]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ class TestMinimize:
                        OptimOptions(tol_fun=1e-15, tol_x=1e-15, max_iters=2000))
         assert sol.objective_value < 1e-8
 
+    @staticmethod
+    def iterates(fg, x0, opts):
+        """(x_k, f_k, g_k) of the start and of each accepted iterate of a run:
+        the k-th accepted iterate is the end point of the run capped at k
+        iterations."""
+        sol = minimize(fg, vec(x0), opts)
+        xs = [vec(x0)] + [minimize(fg, vec(x0), replace(opts, max_iters=k)).W_final
+                          for k in range(1, sol.n_iters + 1)]
+        assert np.array_equal(xs[-1].blocks[0], sol.W_final.blocks[0])
+        its = []
+        for W in xs:
+            f, G = fg(W)
+            its.append((W.blocks[0].ravel(), f, G.blocks[0].ravel()))
+        return sol, its
+
     def test_trace_steps_satisfy_armijo(self):
         # Rosenbrock's curved valley makes many full quasi-Newton steps fail
         # the Armijo test, so the search has to backtrack
@@ -58,24 +75,26 @@ class TestMinimize:
 
         def fg(W):
             f, G = rosenbrock(W)
-            seen.append((W.blocks[0].ravel().copy(), f, G.blocks[0].ravel()))
+            seen.append(f)
             return f, G
 
-        sol = minimize(fg, vec([-1.2, 1.0]), OptimOptions(tol_fun=1e-12))
-        assert len(sol.trace) > 1
-        # each accepted point is the next evaluation that gave its trace value
-        i = 0
-        for rec in sol.trace:
-            j = next(j for j in range(i + 1, len(seen)) if seen[j][1] == rec.value)
-            (x, f, g), (x_new, f_new, _) = seen[i], seen[j]
+        sol, its = self.iterates(fg, [-1.2, 1.0], OptimOptions(tol_fun=1e-12))
+        assert sol.status is Status.CONVERGED_FUN and sol.n_iters > 1
+        n_full = sol.n_evals
+        assert n_full > 1 + sol.n_iters  # some search halved its step
+        for (x, f, g), (x_new, f_new, _) in zip(its, its[1:]):
             assert f_new <= f + ARMIJO_C * g @ (x_new - x)
-            i = j
-        assert np.array_equal(seen[i][0], sol.W_final.blocks[0].ravel())
+        # each accepted value is one the full run evaluated, in order
+        i = 0
+        for _, f, _ in its[1:]:
+            i = seen.index(f, i + 1, n_full)
+        assert seen[i] == sol.objective_value
 
     def test_trace_monotone_nonincreasing(self):
-        fg = quadratic([5.0, 5.0, 5.0, 5.0])
-        sol = minimize(fg, vec([0.0] * 4), OptimOptions(tol_fun=1e-12))
-        vals = [r.value for r in sol.trace]
+        _, its = self.iterates(quadratic([5.0, 5.0, 5.0, 5.0]), [0.0] * 4,
+                               OptimOptions(tol_fun=1e-12))
+        vals = [f for _, f, _ in its]
+        assert len(vals) > 2
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
     @staticmethod
@@ -93,7 +112,7 @@ class TestMinimize:
         sol = minimize(fg, vec([1.0, -2.0]), OptimOptions())
         assert sol.status is Status.LINE_SEARCH_FAIL
         assert sol.n_evals == len(calls) == 1 + MAX_HALVINGS
-        assert sol.trace == []
+        assert sol.objective_value == 5.0  # no step was accepted
         assert np.array_equal(sol.W_final.blocks[0].ravel(), [1.0, -2.0])
 
     def test_eval_cap_ends_search(self):
@@ -104,13 +123,20 @@ class TestMinimize:
 
     def test_deterministic_traces(self):
         def run():
-            return minimize(quadratic([2.0, -3.0]), vec([0.5, 0.5]),
-                            OptimOptions(tol_fun=1e-13))
+            seen = []
+            fg = quadratic([2.0, -3.0])
 
-        s1, s2 = run(), run()
-        assert len(s1.trace) == len(s2.trace)
-        for a, b in zip(s1.trace, s2.trace):
-            assert a.value == b.value and a.step == b.step
+            def recording(W):
+                seen.append((W.blocks[0].copy(), fg(W)[0]))
+                return fg(W)
+
+            sol = minimize(recording, vec([0.5, 0.5]), OptimOptions(tol_fun=1e-13))
+            return sol, seen
+
+        (s1, seen1), (s2, seen2) = run(), run()
+        assert len(seen1) == len(seen2) == s1.n_evals > 1
+        for (x1, f1), (x2, f2) in zip(seen1, seen2):
+            assert np.array_equal(x1, x2) and f1 == f2
         assert np.array_equal(s1.W_final.blocks[0], s2.W_final.blocks[0])
 
     def test_status_enum_values(self):

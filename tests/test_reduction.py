@@ -87,7 +87,7 @@ class TestReduceData:
                        n_obs=2000, cond_target=3.0, seed=11)
         data, truth, _ = build_instance(spec)
         red = reduce_data(data, [5])
-        assert red.final_error[0] < 1e-6
+        assert pre_value(red.B_star, data) < 1e-6
         # principal angles between row-space(B*) and column-space(A)
         A = truth.A.blocks[0]
         Q1 = np.linalg.qr(red.B_star.blocks[0].T)[0]
@@ -99,7 +99,7 @@ class TestReduceData:
         rng = np.random.default_rng(12)
         X = MultiDataset([rng.standard_normal((4, 100))])
         red = reduce_data(X, [4])
-        assert red.final_error[0] < 1e-10
+        assert pre_value(red.B_star, X) < 1e-10
         assert np.linalg.matrix_rank(red.B_star.blocks[0]) == 4
 
     def test_idempotent(self):
@@ -107,7 +107,7 @@ class TestReduceData:
         X = MultiDataset([rng.standard_normal((8, 300))])
         red = reduce_data(X, [3])
         red2 = reduce_data(red.reduced, [3])
-        assert red2.final_error[0] < 1e-10
+        assert pre_value(red2.B_star, red.reduced) < 1e-10
 
     def test_target_exceeding_dim_rejected(self):
         X = MultiDataset([np.random.default_rng(0).standard_normal((3, 50))])
@@ -118,7 +118,12 @@ class TestReduceData:
         rng = np.random.default_rng(14)
         X = MultiDataset([rng.standard_normal((6, 200))])
         red = reduce_data(X, [2])
-        assert red.final_error[0] == pytest.approx(pre_value(red.B_star, X), abs=1e-12)
+        # B* has orthonormal rows, so its pseudoinverse is B*^T
+        B, Xm = red.B_star.blocks[0], X.blocks[0]
+        assert np.array_equal(red.reduced.blocks[0], B @ Xm)
+        R = B.T @ red.reduced.blocks[0] - Xm
+        assert pre_value(red.B_star, X) == pytest.approx(
+            np.sum(R * R) / np.sum(Xm * Xm), abs=1e-12)
         assert red.reduced.dims == [2]
 
     def test_zero_power_rejected(self):
@@ -131,7 +136,8 @@ class TestReduceData:
         X = MultiDataset([rng.standard_normal((5, 300)) * np.arange(1, 6)[:, None],
                           rng.standard_normal((7, 300))])
         red = reduce_data(X, [2, 4])
-        for Xm, C, err in zip(X.blocks, [2, 4], red.final_error):
+        for Bm, Xm, C in zip(red.B_star.blocks, X.blocks, [2, 4]):
+            err = pre_value(BlockTransform([Bm]), MultiDataset([Xm]))
             lam = np.linalg.eigvalsh(Xm @ Xm.T)  # ascending
             assert err == pytest.approx(lam[:-C].sum() / lam.sum(), abs=1e-12)
         for Bm, Zm, C in zip(red.B_star.blocks, red.reduced.blocks, [2, 4]):

@@ -64,6 +64,12 @@ class TestGenMixing:
         with pytest.raises(DomainError):
             gen_mixing(4, 4, 0.5, rng)
 
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_nonfinite_target_rejected(self, target):
+        # each gave an all-NaN matrix
+        with pytest.raises(DomainError, match="^cond_target must be finite and >= 1"):
+            gen_mixing(4, 4, target, np.random.default_rng(2))
+
     def test_deterministic(self):
         A1 = gen_mixing(6, 3, 4.0, np.random.default_rng(7))
         A2 = gen_mixing(6, 3, 4.0, np.random.default_rng(7))
@@ -86,6 +92,11 @@ class TestSnrScale:
     def test_zero_db_rejected(self):
         with pytest.raises(DomainError):
             snr_scale(np.eye(2), 2, 0.0)
+
+    def test_nan_db_rejected(self):
+        # NaN gave a NaN amplitude
+        with pytest.raises(DomainError):
+            snr_scale(np.eye(2), 2, np.nan)
 
     def test_empirical_snr(self):
         rng = np.random.default_rng(4)
@@ -239,7 +250,8 @@ class TestSimSpec:
         ("rho_max", 7.0), ("rho_max", 1.0), ("rho_max", -0.1), ("rho_max", [0.3, 1.5]),
         ("cond_target", 0.5), ("cond_target", [2.0, 0.9]),
         ("snr_db", -3.0), ("snr_db", 0.0), ("snr_db", np.nan),
-        ("ar_rho", 3.0), ("ar_rho", 1.0), ("copula_draws", -4), ("copula_draws", 0)])
+        ("ar_rho", 3.0), ("ar_rho", 1.0), ("copula_draws", -4), ("copula_draws", 0),
+        ("cond_target", np.inf), ("cond_target", [2.0, np.inf])])
     def test_out_of_range_rejected(self, field, value):
         # K = 2 subspaces over M = 2 datasets; the mvlaplace family reads
         # neither ar_rho nor copula_draws, and an ICA-shaped subspace never
