@@ -73,8 +73,18 @@ def _load_instance(path):
             and all(type(c) is int and c > 0 for c in col_dims)):
         raise ParseError(f"{path}: col_dims must be a non-empty list of positive "
                          f"integers, got {json.dumps(col_dims)}")
-    M = len(col_dims)
-    data = MultiDataset([load_matrix(root / f"X_{m}.misa") for m in range(M)])
+    blocks = []
+    for m, C in enumerate(col_dims):
+        path = root / f"X_{m}.misa"
+        X = load_matrix(path)
+        if blocks and X.shape[1] != blocks[0].shape[1]:
+            raise ParseError(f"{path}: has {X.shape[1]} observations, "
+                             f"X_0.misa has {blocks[0].shape[1]}")
+        if X.shape[0] < C:
+            raise ParseError(f"{path}: has {X.shape[0]} rows, fewer than the "
+                             f"{C} sources of dataset {m}")
+        blocks.append(X)
+    data = MultiDataset(blocks)
     path = root / "P.misa"
     P = load_matrix(path)
     try:

@@ -31,17 +31,62 @@ START_TOL_FUN = 1e-5
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment; perm[i] is the column given to row i.
 
-    scipy's solver; a constant cost matrix yields the identity.
+    Crouse's shortest augmenting path (IEEE TAES 2016), ported step for
+    step from scipy's linear_sum_assignment for square matrices, so ties
+    break as there: a constant cost matrix yields the identity. Kept here
+    so that a solve process need not import scipy.optimize (about 49 MB).
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise DomainError("cost entries must be finite")
-    # imported here, so that `import misa` loads no scipy module
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(cost)[1]
+    n = cost.shape[0]
+    c = cost.tolist()
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest path from row cur to an unassigned column; remaining is
+        # filled in reverse and shrunk by swap-removal, as in scipy
+        remaining = list(range(n - 1, -1, -1))
+        dist = [math.inf] * n
+        SR, SC = [False] * n, [False] * n
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            SR[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                # of equal distances, one that reaches a free column wins
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            SC[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for row in range(n):
+            if SR[row] and row != cur:
+                u[row] += min_val - dist[col4row[row]]
+        for j in range(n):
+            if SC[j]:
+                v[j] -= min_val - dist[j]
+        j = sink
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.intp)
 
 
 def _as_p_matrix(P) -> np.ndarray:

@@ -166,8 +166,6 @@ class ObjectiveContext:
     def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
                  dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
                  psi: Sequence[float] = PSI_LAPLACE):
-        from scipy.linalg import qr
-
         if data.n_datasets != len(assignment.col_dims):
             raise ShapeError("assignment covers a different number of datasets")
         self.data = data
@@ -178,9 +176,8 @@ class ObjectiveContext:
         off = np.asarray(assignment.col_offsets)
         d_km = assignment.per_dataset_dims()
         N = data.n_obs
-        # F-ordered X^T, factored in place: one V x N copy of the data
-        R = qr(np.vstack(data.blocks).T, mode="raw", overwrite_a=True,
-               check_finite=False)[1]
+        # np.linalg.qr factors a copy of the stacked X^T and returns R alone
+        R = np.linalg.qr(np.vstack(data.blocks).T, mode="r")
         v_off = np.cumsum([0] + [Xm.shape[0] for Xm in data.blocks])
         self.R_blocks = [np.ascontiguousarray(R[:, a:b])
                          for a, b in zip(v_off[:-1], v_off[1:])]

@@ -74,6 +74,24 @@ class TestHungarian:
             best, _ = brute_force_assignment(cost)
             assert total == pytest.approx(best)
 
+    @pytest.mark.parametrize("kind", ["float", "small-int", "constant"])
+    def test_equals_scipy(self, kind):
+        # the port returns scipy's permutation itself, ties included
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(["float", "small-int", "constant"].index(kind))
+        for n in range(1, 16):
+            for _ in range(40):
+                if kind == "float":
+                    cost = rng.standard_normal((n, n))
+                elif kind == "small-int":
+                    cost = rng.integers(-3, 4, size=(n, n)).astype(float)
+                else:
+                    cost = np.full((n, n), float(rng.integers(-5, 6)))
+                perm = hungarian(cost)
+                assert perm.dtype == np.intp
+                np.testing.assert_array_equal(perm, linear_sum_assignment(cost)[1])
+
 
 class TestMatch:
     def test_identical_is_identity(self):

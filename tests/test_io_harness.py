@@ -378,6 +378,35 @@ class TestRunExperiment:
         run_experiment(make_config(str(d2), threads=2))
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
 
+    def test_solve_and_score_skip_scipy_optimize_and_linalg(self):
+        # in a fresh process: importing scipy.optimize and scipy.linalg
+        # costs a solve process about 50 MB, and neither is needed
+        code = (
+            "import json, sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "import misa\n"
+            "from misa import SubspaceAssignment, combinatorics, harness, metrics\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "on_import = loaded()\n"
+            "for name in ('iva1', 'isa2'):\n"
+            "    cfg = harness.preset(name)\n"
+            "    cfg = replace(cfg, instances=1, replicates=1, threads=1,\n"
+            "                  sim=replace(cfg.sim, n_obs=1000))\n"
+            "    harness.run_experiment(cfg)\n"
+            "metrics.mmse(np.random.default_rng(0).uniform(-1, 1, (6, 6)))\n"
+            "P = SubspaceAssignment.from_dataset_dims(np.array([[2], [1], [3]]))\n"
+            "combinatorics.match(P, P)\n"
+            "print(json.dumps([on_import, loaded()]))")
+        src = str(Path(misa.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        on_import, after = json.loads(out.stdout.splitlines()[-1])
+        assert on_import == []
+        for sub in ("scipy.optimize", "scipy.linalg"):
+            assert not [m for m in after if m == sub or m.startswith(sub + ".")]
+
     def test_bug_in_replicate_propagates(self, monkeypatch):
         def broken(*args):
             raise TypeError("a bug, not a numerical failure")
@@ -734,6 +763,26 @@ class TestCli:
         expected = "3 x 2000" if name == "Y.misa" else "3 x 3"
         assert err.endswith(f": expected a {expected} matrix for this instance, "
                             f"got {shape[0]} x {shape[1]}\n")
+
+    @pytest.mark.parametrize("verb", ["score", "solve"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda X: X[:, :-1], "has 499 observations, X_0.misa has 500"),
+        (lambda X: X[:1], "has 1 rows, fewer than the 2 sources of dataset 1")],
+        ids=["observations", "rows"])
+    def test_data_file_fault_named(self, tmp_path, capsys, verb, edit, message):
+        # the first went unnamed (MultiDataset's ShapeError), the second
+        # was blamed on A_1.misa
+        cfg = write_smoke_cfg(tmp_path, sim={"subspace_dims": [[1, 1], [1, 1]],
+                                             "dims_v": [2, 2], "n_obs": 500,
+                                             "cond_target": 2.0})
+        inst = tmp_path / "inst"
+        assert cli_main(["generate", "--config", str(cfg), "--out", str(inst)]) == 0
+        save_matrix(inst / "X_1.misa", edit(load_matrix(inst / "X_1.misa")))
+        argv = {"score": ["score", "--data", str(inst)],
+                "solve": ["solve", "--config", str(cfg), "--data", str(inst),
+                          "--out", str(tmp_path / "est")]}[verb]
+        err = self.assert_names_file(capsys, argv, inst / "X_1.misa")
+        assert err.endswith(f"X_1.misa: {message}\n")
 
     def test_infinite_cond_target_rejected(self, tmp_path, capsys):
         # json reads Infinity as inf, which failed later in the SVD
