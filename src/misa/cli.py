@@ -207,13 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _openblas(fn: str) -> list:
     """The function fn ("set_num_threads" or "get_num_threads") of each
-    OpenBLAS that the numpy and scipy wheels bundle; empty when there is
-    none, as with another BLAS or another install layout."""
+    OpenBLAS that the numpy wheel bundles; empty when there is none, as with
+    another BLAS or another install layout. scipy's own OpenBLAS is left
+    unloaded: no solve loads scipy, and the copula generator's scipy.signal
+    makes no BLAS call."""
     import ctypes
 
     site = Path(np.__file__).resolve().parent.parent
-    libs = [*sorted(site.glob("numpy.libs/libscipy_openblas*.so*")),
-            *sorted(site.glob("scipy.libs/libscipy_openblas*.so*"))]
+    libs = sorted(site.glob("numpy.libs/libscipy_openblas*.so*"))
     found = []
     for lib in libs:
         so = ctypes.CDLL(str(lib))

@@ -50,6 +50,10 @@ class ExperimentConfig:
                               "misa-gp always uses the controlled dispersion")
         if self.sim is None:
             raise ConfigError("config needs a sim section or a preset experiment id")
+        # every replicate is scored by MISI, whose normalization needs K >= 2
+        if len(self.sim.subspace_dims) < 2:
+            raise ConfigError("sim.subspace_dims needs at least 2 subspaces (rows), "
+                              f"got {len(self.sim.subspace_dims)}")
 
 
 def _fits(v, hint) -> bool:

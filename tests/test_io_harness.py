@@ -407,6 +407,44 @@ class TestRunExperiment:
         for sub in ("scipy.optimize", "scipy.linalg"):
             assert not [m for m in after if m == sub or m.startswith(sub + ".")]
 
+    def test_solve_and_score_load_no_scipy(self, tmp_path):
+        # in a fresh process: a solve, its scoring and the CLI verbs around it
+        # load no scipy module at all (scipy.special alone is about 24 MB);
+        # only the copula generator (iva2) needs scipy
+        code = (
+            "import json, sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from misa import KotzParams, SubspaceAssignment, cli, combinatorics, harness, metrics\n"
+            "loaded = {}\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "for name, n_obs in (('iva1', 1000), ('isa2', 1000), ('isa3', 2000), ('ica1', 1000)):\n"
+            "    cfg = harness.preset(name)\n"  # isa3: M = 2 misa-gp; ica1: reduce pre
+            "    harness.run_experiment(replace(cfg, instances=1, replicates=1, threads=1,\n"
+            "                                   sim=replace(cfg.sim, n_obs=n_obs)))\n"
+            "    loaded[name] = scipy()\n"
+            "metrics.mmse(np.random.default_rng(0).uniform(-1, 1, (6, 6)))\n"
+            "P = SubspaceAssignment.from_dataset_dims(np.array([[2], [1], [3]]))\n"
+            "combinatorics.match(P, P)\n"
+            "KotzParams(1.3, 0.7, 1.5, 4)\n"
+            "loaded['scoring'] = scipy()\n"
+            f"root = {str(tmp_path)!r}\n"
+            "cfg = root + '/cfg.json'\n"
+            "open(cfg, 'w').write(json.dumps({'experiment': 'isa2', 'sim': {'n_obs': 1000}}))\n"
+            "codes = [cli.main(['generate', '--config', cfg, '--out', root + '/inst']),\n"
+            "         cli.main(['solve', '--config', cfg, '--data', root + '/inst',\n"
+            "                   '--out', root + '/est']),\n"
+            "         cli.main(['score', '--data', root + '/inst', '--est', root + '/est'])]\n"
+            "loaded['cli'] = scipy()\n"
+            "print(json.dumps([codes, loaded]))")
+        src = str(Path(misa.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert all(c in (0, 1) for c in codes)  # 1 is a MISI miss, not an error
+        assert loaded == {k: [] for k in ("iva1", "isa2", "isa3", "ica1", "scoring", "cli")}
+
     def test_bug_in_replicate_propagates(self, monkeypatch):
         def broken(*args):
             raise TypeError("a bug, not a numerical failure")
@@ -647,6 +685,17 @@ class TestCli:
     def test_unknown_preset_exits_2(self, capsys):
         assert cli_main(["experiment", "--experiment", "ica99"]) == 2
         assert capsys.readouterr().err == "misa: error: unknown experiment preset 'ica99'\n"
+
+    def test_one_subspace_config_exits_2(self, tmp_path, capsys):
+        # MISI is undefined for K = 1, so the config fails before any solve
+        # instead of recording every replicate as error:DomainError
+        cfg = write_smoke_cfg(tmp_path, sim={"subspace_dims": [[3]], "dims_v": [3],
+                                             "n_obs": 500})
+        run = tmp_path / "run"
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            "misa: error: sim.subspace_dims needs at least 2 subspaces (rows), got 1\n")
+        assert not run.exists()
 
     def test_score_without_mixing_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "inst"

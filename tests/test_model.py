@@ -17,6 +17,7 @@ from misa import (
     SubspaceAssignment,
     kotz_from_psi,
     kotz_log_pdf,
+    model,
 )
 
 
@@ -94,6 +95,29 @@ class TestDeriveKotz:
         base = KotzParams(1.3, 0.7, 1.0, 3).nu
         up = KotzParams(1.3, 0.7, 1.5, 3).nu
         assert up > base
+
+
+class TestKotzParams:
+    def test_gammaln_bitwise_equal_to_scipy(self):
+        # KotzParams takes its log-Gamma terms from the cephes port, so that
+        # a solve loads no scipy module; it must be scipy's gammaln exactly
+        from scipy.special import gammaln
+
+        args = []
+        for beta, lamb, eta in (PSI_GAUSS, PSI_LAPLACE, (1.3, 0.7, 1.5)):
+            for d in range(1, 41):
+                nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
+                args += [nu, nu + 1.0 / beta, d / 2.0]
+        # the branch edges of lgam, the extremes of the positive floats, and
+        # the float above cephes MAXLGM, whose result is inf though Stirling's
+        # sum would still be finite there
+        args += [2.0, 3.0, 13.0, np.nextafter(13.0, 0.0), 1000.0, np.nextafter(1000.0, 0.0),
+                 1e8, 1.5e8, 5e-324, 1e300, np.nextafter(2.556348e305, np.inf)]
+        rng = np.random.default_rng(0)
+        args += [*rng.uniform(0.0, 2.0, 20000), *np.exp(rng.uniform(-30.0, 30.0, 20000))]
+        mismatched = [x for x in map(float, args)
+                      if model._gammaln(x) != float(gammaln(x))]
+        assert mismatched == []
 
 
 class TestKotzLogPdf:
