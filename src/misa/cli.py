@@ -21,7 +21,7 @@ from . import gradcheck
 from . import harness
 from . import metrics
 from .errors import ConfigError, MisaError, ParseError, ShapeError
-from .io import load_matrix, read_json, save_matrix, write_json
+from .io import load_matrix, make_dir, read_json, save_matrix, write_json
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
@@ -34,10 +34,8 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
-    sim = replace(cfg.sim, seed=cfg.seed)
-    data, truth, P = harness.build_instance(sim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    data, truth, P = harness.build_instance(cfg.sim, cfg.seed)
+    out = make_dir(args.out)
     for m, X in enumerate(data.blocks):
         save_matrix(out / f"X_{m}.misa", X)
     for m, A in enumerate(truth.A.blocks):
@@ -100,22 +98,23 @@ def _load_instance(path):
 
 def _load_shaped(path, shape) -> np.ndarray:
     """load_matrix, with a ParseError naming the file unless the matrix has
-    the given shape."""
+    the given shape and every entry is finite."""
     X = load_matrix(path)
     if X.shape != shape:
         raise ParseError(f"{path}: expected a {shape[0]} x {shape[1]} matrix for this "
                          f"instance, got {X.shape[0]} x {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ParseError(f"{path}: holds a NaN or infinite entry")
     return X
 
 
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     data, P, A = _load_instance(args.data)
+    out = make_dir(args.out)
     work, B = harness.reduce_instance(cfg, data, P)
     sol, W_total = harness.solve_instance(cfg, work, P, B, cfg.seed)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for m, Wm in enumerate(W_total.blocks):
         save_matrix(out / f"W_{m}.misa", Wm)
     result = {"objective": sol.objective_value, "status": sol.status.value,

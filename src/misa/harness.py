@@ -9,7 +9,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
-from pathlib import Path
 from typing import List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -20,14 +19,14 @@ from . import optimizer as opt
 from . import reduction
 from .errors import (ConfigError, DefinitenessError, DomainError, RankError,
                      check_ranges)
-from .io import read_json, write_json
+from .io import make_dir, read_json, write_json
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from .simgen import SimSpec, build_instance
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
     experiment: str = "custom"
-    sim: Optional[SimSpec] = None
+    sim: SimSpec
     reduce: str = "none"
     solver: str = "misa"
     dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED
@@ -48,8 +47,6 @@ class ExperimentConfig:
         if self.solver == "misa-gp" and self.dispersion != DispersionChoice.SCALE_CONTROLLED:
             raise ConfigError("dispersion applies to solver 'misa' only; "
                               "misa-gp always uses the controlled dispersion")
-        if self.sim is None:
-            raise ConfigError("config needs a sim section or a preset experiment id")
         # every replicate is scored by MISI, whose normalization needs K >= 2
         if len(self.sim.subspace_dims) < 2:
             raise ConfigError("sim.subspace_dims needs at least 2 subspaces (rows), "
@@ -89,12 +86,6 @@ def _section(name: str, values, cls, base=None):
     return cls(**values) if base is None else replace(base, **values)
 
 
-def _parse_snr(v: str) -> float:
-    if v.lower() in ("inf", "infinity"):
-        return np.inf
-    raise ConfigError(f"bad snr_db value {v!r}")
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON tree: the preset it names,
     or the defaults for "custom", with only the given keys replaced, at the
@@ -106,10 +97,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
     if "sim" in d:
         s = d["sim"]
-        if isinstance(s, dict) and "seed" in s:
-            raise ConfigError("sim.seed is not read; instances take the top-level seed")
         if isinstance(s, dict) and isinstance(s.get("snr_db"), str):
-            s = {**s, "snr_db": _parse_snr(s["snr_db"])}
+            if s["snr_db"].lower() not in ("inf", "infinity"):
+                raise ConfigError(f"bad snr_db value {s['snr_db']!r}")
+            s = {**s, "snr_db": np.inf}
         d["sim"] = _section("sim", s, SimSpec, base and base.sim)
     if "optim" in d:
         d["optim"] = _section("optim", d["optim"], opt.OptimOptions, base and base.optim)
@@ -274,14 +265,15 @@ def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
 
 def run_experiment(cfg: ExperimentConfig):
     """Run the full grid; returns (records, summary) and persists them when
-    cfg.out_dir is set."""
+    cfg.out_dir is set, which is created before the first solve."""
+    if cfg.out_dir:
+        make_dir(cfg.out_dir)
     root = np.random.SeedSequence(cfg.seed)
     inst_seqs = root.spawn(cfg.instances)
     records: List[RunRecord] = []
     for i in range(cfg.instances):
         inst_seed = int(inst_seqs[i].generate_state(1)[0])
-        sim = replace(cfg.sim, seed=inst_seed)
-        data, truth, P = build_instance(sim)
+        data, truth, P = build_instance(cfg.sim, inst_seed)
 
         work_data, B = reduce_instance(cfg, data, P)
 
@@ -332,8 +324,7 @@ _RECORD_FIELDS = [f.name for f in fields(RunRecord) if f.name != "wall_time"]
 def write_results(out_dir, records: List[RunRecord], summary: dict) -> None:
     """Persist records.csv and summary.json (deterministic given the run) and
     timings.csv (wall-clock, inherently non-deterministic)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     with open(out / "records.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_RECORD_FIELDS)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 MAGIC = b"MISA"
 _HEADER = struct.Struct("<4sII")
@@ -69,6 +69,15 @@ def write_json(path, value) -> None:
     """Write value as JSON with a 2-space indent, sorted keys and a final
     newline, the byte form of every result file."""
     Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def make_dir(path) -> Path:
+    """The directory path, created with its parents; a ConfigError names it if that fails."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot create output directory: {e.strerror}") from None
+    return Path(path)
 
 
 def _parse_error(path, e: Exception) -> ParseError:

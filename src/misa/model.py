@@ -23,17 +23,18 @@ PSI_GAUSS = (1.0, 0.5, 1.0)
 PSI_LAPLACE = (0.5, 1.0, 1.0)
 
 
-PIVOT_RTOL = 1e3 * np.finfo(float).eps
+# relative size at which a pivot, singular value or eigenvalue counts as zero
+RANK_RTOL = 1e3 * np.finfo(float).eps
 
 
 def singular_pivots(L: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Whether the Cholesky factor L of D (one matrix or a stack) has a
-    squared pivot within PIVOT_RTOL of the mean diagonal of D: D is then
+    squared pivot within RANK_RTOL of the mean diagonal of D: D is then
     singular to working precision, though rounding may leave it barely
     positive definite (as for a dispersion of two identical sources)."""
     d = D.shape[-1]
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    floor = PIVOT_RTOL / d * np.trace(D, axis1=-2, axis2=-1)
+    floor = RANK_RTOL / d * np.trace(D, axis1=-2, axis2=-1)
     return np.min(pivots, axis=-1) ** 2 <= floor
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DefinitenessError, RankError, ShapeError
 from .model import (
     PSI_LAPLACE,
+    RANK_RTOL,
     BlockTransform,
     DispersionChoice,
     KotzParams,
@@ -31,8 +32,6 @@ from .model import (
     kotz_from_psi,
     singular_pivots,
 )
-
-RANK_RTOL = 1e3 * np.finfo(float).eps
 
 
 def svd_terms(W_m: np.ndarray):

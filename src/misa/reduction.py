@@ -14,7 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import DomainError, RankError, ShapeError
-from .model import BlockTransform, MultiDataset
+from .model import RANK_RTOL, BlockTransform, MultiDataset
 from .objective import svd_terms
 
 
@@ -103,7 +103,7 @@ def gpca_init(X: MultiDataset, C: int) -> BlockTransform:
     S = Xc @ Xc.T / (X.n_obs - 1)
     lam, E = np.linalg.eigh(S)
     lam, E = lam[::-1], E[:, ::-1]
-    if lam[C - 1] <= 1e3 * np.finfo(float).eps * max(lam[0], 0.0) or lam[C - 1] <= 0:
+    if lam[C - 1] <= RANK_RTOL * max(lam[0], 0.0) or lam[C - 1] <= 0:
         raise RankError(f"concatenated covariance has rank below {C}")
     proj = (E[:, :C] / np.sqrt(lam[:C])).T  # C x V_bar, unit-variance scores
     out, off = [], 0

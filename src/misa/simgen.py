@@ -3,7 +3,7 @@
 Provides condition-number-prescribed mixings, SNR-calibrated sensor noise,
 multivariate-Laplace subspace sources with Toeplitz correlation, a
 Gaussian-copula recipe for autocorrelated Laplace-marginal sources, and
-build_instance to compose a full problem instance from a SimSpec.
+build_instance to compose a full problem instance from a SimSpec and a seed.
 """
 
 from __future__ import annotations
@@ -154,7 +154,6 @@ class SimSpec:
     family: str = "mvlaplace"
     copula_draws: int = 50
     ar_rho: float = 0.85
-    seed: int = 0
 
     def __post_init__(self):
         self.subspace_dims = np.atleast_2d(np.asarray(self.subspace_dims, dtype=int))
@@ -193,9 +192,9 @@ class GroundTruth:
     realized_conds: List[float]
 
 
-def build_instance(spec: SimSpec):
-    """Compose mixing, sources, and noise into (data, truth, assignment)."""
-    rng = np.random.default_rng(spec.seed)
+def build_instance(spec: SimSpec, seed):
+    """Compose mixing, sources, and noise drawn from seed into (data, truth, assignment)."""
+    rng = np.random.default_rng(seed)
     P = SubspaceAssignment.from_dataset_dims(spec.subspace_dims)
     C_bar = P.n_sources
     N = spec.n_obs

@@ -160,9 +160,8 @@ def test_criterion_07_mdm_subspace_permutation():
     gp_ok = plain_stuck = 0
     for seed in range(10):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1], [2, 2]]),
-                       dims_v=[4, 4], n_obs=6000, cond_target=2.0,
-                       rho_max=0.85, seed=seed)
-        data, truth, P = build_instance(spec)
+                       dims_v=[4, 4], n_obs=6000, cond_target=2.0, rho_max=0.85)
+        data, truth, P = build_instance(spec, seed)
         rng = np.random.default_rng(1000 + seed)
         blocks = []
         for m, A in enumerate(truth.A.blocks):

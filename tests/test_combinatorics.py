@@ -180,8 +180,8 @@ def reference_match(Pe, Pu):
 
 def isa_instance(seed=9, n_obs=4000):
     spec = SimSpec(subspace_dims=np.array([[2], [2]]), dims_v=[4], n_obs=n_obs,
-                   cond_target=2.0, rho_max=0.6, seed=seed)
-    return build_instance(spec)
+                   cond_target=2.0, rho_max=0.6)
+    return build_instance(spec, seed)
 
 
 class TestGp:
@@ -204,8 +204,8 @@ class TestGp:
 
     def test_independent_sources_stay_singletons(self):
         spec = SimSpec(subspace_dims=np.ones((4, 1), dtype=int), dims_v=[4],
-                       n_obs=4000, cond_target=2.0, seed=5)
-        data, truth, P = build_instance(spec)
+                       n_obs=4000, cond_target=2.0)
+        data, truth, P = build_instance(spec, 5)
         W = BlockTransform([np.linalg.inv(truth.A.blocks[0])])
         out = gp(data, P, W)
         assert partition(out) == partition(P)
@@ -274,8 +274,8 @@ class TestGpMatchesReference:
     def cases(self):
         for seed, dims in enumerate(self.SHAPES):
             spec = SimSpec(subspace_dims=np.array(dims), dims_v=[int(np.sum(dims))],
-                           n_obs=2000, cond_target=2.0, rho_max=0.5, seed=seed)
-            data, truth, P = build_instance(spec)
+                           n_obs=2000, cond_target=2.0, rho_max=0.5)
+            data, truth, P = build_instance(spec, seed)
             C = P.n_sources
             P0 = SubspaceAssignment.singletons([C])
             rng = np.random.default_rng(seed)
@@ -359,8 +359,8 @@ class TestDrivers:
         # the first solve and the singleton refinements stop at
         # max(tol_fun, START_TOL_FUN); the joint solves keep tol_fun
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
-                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
-        data, truth, P = build_instance(spec)
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 5)
         W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
                              for _ in range(2)])
         seen = []
@@ -382,8 +382,8 @@ class TestDrivers:
 
     def test_mdm_returns_best_candidate_solve(self, monkeypatch):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
-                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
-        data, truth, P = build_instance(spec)
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 5)
         rng = np.random.default_rng(2)
         W0 = BlockTransform([random_row_orthonormal(3, 3, rng) for _ in range(2)])
         candidates = []
@@ -411,8 +411,8 @@ class TestDrivers:
         # iterations and evaluations cover the whole driver: the first solve,
         # every singleton refinement and every joint solve
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
-                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=5)
-        data, truth, P = build_instance(spec)
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 5)
         W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
                              for _ in range(2)])
         solves = []
@@ -486,9 +486,8 @@ class TestSubspacePerm:
         # M = 2: subspace 2 spans both datasets, 0 and 1 live in dataset 0
         # only; all three share size 1 there, so the group is still searched
         spec = SimSpec(subspace_dims=np.array([[1, 0], [1, 0], [1, 1]]),
-                       dims_v=[3, 1], n_obs=2000, cond_target=[2.0, 1.0],
-                       rho_max=0.7, seed=6)
-        data, truth, P = build_instance(spec)
+                       dims_v=[3, 1], n_obs=2000, cond_target=[2.0, 1.0], rho_max=0.7)
+        data, truth, P = build_instance(spec, 6)
         W = [np.linalg.inv(A) for A in truth.A.blocks]
         W_sw = BlockTransform([W[0][[2, 1, 0]], W[1]])  # swap subspaces 0 and 2
         out = subspace_perm(data, P, W_sw)
@@ -499,8 +498,8 @@ class TestSubspacePerm:
 
     def test_distinct_sizes_identity(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
-                       n_obs=1000, cond_target=2.0, seed=2)
-        data, truth, P = build_instance(spec)
+                       n_obs=1000, cond_target=2.0)
+        data, truth, P = build_instance(spec, 2)
         W = BlockTransform([np.linalg.inv(A) for A in truth.A.blocks])
         out = subspace_perm(data, P, W)
         for a, b in zip(out.blocks, W.blocks):
@@ -508,8 +507,8 @@ class TestSubspacePerm:
 
     def test_detects_swap(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1]]), dims_v=[2, 2],
-                       n_obs=4000, cond_target=2.0, rho_max=0.7, seed=3)
-        data, truth, P = build_instance(spec)
+                       n_obs=4000, cond_target=2.0, rho_max=0.7)
+        data, truth, P = build_instance(spec, 3)
         W = [np.linalg.inv(A) for A in truth.A.blocks]
         W_sw = [W[0][[1, 0]], W[1]]  # swap the two subspaces in dataset 0 only
         c_bad = fixed_w_cost(data, P, BlockTransform(W_sw))
@@ -524,9 +523,8 @@ class TestSubspacePerm:
     def test_exhaustive_greedy_agree(self, monkeypatch):
         for seed in range(5):
             spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1], [1, 1]]),
-                           dims_v=[3, 3], n_obs=2000, cond_target=2.0,
-                           rho_max=0.7, seed=seed)
-            data, truth, P = build_instance(spec)
+                           dims_v=[3, 3], n_obs=2000, cond_target=2.0, rho_max=0.7)
+            data, truth, P = build_instance(spec, seed)
             rng = np.random.default_rng(seed)
             W = BlockTransform([np.linalg.inv(A)[rng.permutation(3)]
                                 for A in truth.A.blocks])
@@ -540,8 +538,8 @@ class TestSubspacePerm:
     def test_greedy_never_increases(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "EXHAUSTIVE_PERM_LIMIT", 0)
         spec = SimSpec(subspace_dims=np.ones((4, 2), dtype=int), dims_v=[4, 4],
-                       n_obs=2000, cond_target=2.0, rho_max=0.6, seed=8)
-        data, truth, P = build_instance(spec)
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 8)
         rng = np.random.default_rng(8)
         W = BlockTransform([random_row_orthonormal(4, 4, rng) for _ in range(2)])
         out = subspace_perm(data, P, W)
@@ -618,8 +616,8 @@ class TestSubspacePermMatchesReference:
     def instance(self, dims, seed):
         dims = np.array(dims)
         spec = SimSpec(subspace_dims=dims, dims_v=dims.sum(axis=0), n_obs=1000,
-                       cond_target=2.0, rho_max=0.6, seed=seed)
-        data, truth, P = build_instance(spec)
+                       cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, seed)
         # the true unmixing with same-size subspaces shuffled in each dataset
         rng = np.random.default_rng(seed)
         blocks = []

@@ -142,7 +142,7 @@ class TestConfig:
             config_from_dict(d)
 
     def test_custom_without_sim_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"missing config key\(s\): \['sim'\]"):
             config_from_dict({"experiment": "custom"})
 
     def test_preset_override(self):
@@ -214,11 +214,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("experiment", ["custom", "isa2"])
     def test_sim_seed_rejected(self, experiment):
-        # instance seeds derive from the top-level seed, so sim.seed would
-        # be silently ignored
+        # instance seeds derive from the top-level seed; SimSpec has no seed
         d = self.base() if experiment == "custom" else {"experiment": experiment, "sim": {}}
         d["sim"]["seed"] = 12345
-        with pytest.raises(ConfigError, match=r"sim\.seed .*top-level seed"):
+        with pytest.raises(ConfigError, match=r"unknown sim key\(s\): \['seed'\]"):
             config_from_dict(d)
 
     def test_dispersion_only_with_plain_solver(self):
@@ -238,7 +237,7 @@ class TestConfig:
 # every field of the six presets, spelled out: what each protocol sets, and
 # what all of them share
 SIM_SHARED = {"cond_target": 3.0, "snr_db": np.inf, "rho_max": 0.5,
-              "family": "mvlaplace", "copula_draws": 50, "ar_rho": 0.85, "seed": 0}
+              "family": "mvlaplace", "copula_draws": 50, "ar_rho": 0.85}
 CFG_SHARED = {"reduce": "none", "solver": "misa",
               "dispersion": DispersionChoice.SCALE_CONTROLLED, "T": 2, "instances": 1,
               "replicates": 10, "seed": 0, "out_dir": None, "threads": 1}
@@ -259,6 +258,15 @@ PINNED = {
 }
 
 
+def config_fields(cfg):
+    """(sim, optim, the other fields) of cfg as dicts, subspace_dims a list."""
+    sim = {f.name: getattr(cfg.sim, f.name) for f in fields(SimSpec)}
+    sim["subspace_dims"] = cfg.sim.subspace_dims.tolist()
+    rest = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)
+            if f.name not in ("sim", "optim")}
+    return sim, asdict(cfg.optim), rest
+
+
 class TestPresets:
     def test_preset_names(self):
         assert sorted(harness._PRESETS) == sorted(PINNED)
@@ -268,13 +276,21 @@ class TestPresets:
         sim, settings = PINNED[name]
         cfg = preset(name)
         assert cfg.sim.subspace_dims.dtype.kind == "i"
-        got_sim = {f.name: getattr(cfg.sim, f.name) for f in fields(SimSpec)}
-        got_sim["subspace_dims"] = cfg.sim.subspace_dims.tolist()
-        assert got_sim == {**SIM_SHARED, **sim}
-        assert asdict(cfg.optim) == OPTIM_SHARED
-        got = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)
-               if f.name not in ("sim", "optim")}
-        assert got == {"experiment": name, **CFG_SHARED, **settings}
+        assert config_fields(cfg) == ({**SIM_SHARED, **sim}, OPTIM_SHARED,
+                                      {"experiment": name, **CFG_SHARED, **settings})
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_preset_round_trips_as_config(self, name):
+        # every dataclass field is a config key: a preset written out field
+        # by field loads back as itself
+        sim, optim, rest = config_fields(preset(name))
+        if np.isinf(sim["snr_db"]):
+            sim["snr_db"] = "inf"
+        text = json.dumps({**rest, "dispersion": rest["dispersion"].value,
+                           "sim": sim, "optim": optim})
+        cfg = config_from_dict(json.loads(text))
+        assert cfg.sim.subspace_dims.dtype.kind == "i"
+        assert config_fields(cfg) == config_fields(preset(name))
 
     def test_each_call_builds_new_objects(self):
         changed = preset("isa3")
@@ -378,35 +394,6 @@ class TestRunExperiment:
         run_experiment(make_config(str(d2), threads=2))
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
 
-    def test_solve_and_score_skip_scipy_optimize_and_linalg(self):
-        # in a fresh process: importing scipy.optimize and scipy.linalg
-        # costs a solve process about 50 MB, and neither is needed
-        code = (
-            "import json, sys\n"
-            "from dataclasses import replace\n"
-            "import numpy as np\n"
-            "import misa\n"
-            "from misa import SubspaceAssignment, combinatorics, harness, metrics\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "on_import = loaded()\n"
-            "for name in ('iva1', 'isa2'):\n"
-            "    cfg = harness.preset(name)\n"
-            "    cfg = replace(cfg, instances=1, replicates=1, threads=1,\n"
-            "                  sim=replace(cfg.sim, n_obs=1000))\n"
-            "    harness.run_experiment(cfg)\n"
-            "metrics.mmse(np.random.default_rng(0).uniform(-1, 1, (6, 6)))\n"
-            "P = SubspaceAssignment.from_dataset_dims(np.array([[2], [1], [3]]))\n"
-            "combinatorics.match(P, P)\n"
-            "print(json.dumps([on_import, loaded()]))")
-        src = str(Path(misa.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": path})
-        on_import, after = json.loads(out.stdout.splitlines()[-1])
-        assert on_import == []
-        for sub in ("scipy.optimize", "scipy.linalg"):
-            assert not [m for m in after if m == sub or m.startswith(sub + ".")]
-
     def test_solve_and_score_load_no_scipy(self, tmp_path):
         # in a fresh process: a solve, its scoring and the CLI verbs around it
         # load no scipy module at all (scipy.special alone is about 24 MB);
@@ -478,13 +465,13 @@ class TestRunExperiment:
         cfg = config_from_dict({
             "experiment": "custom",
             "sim": {"subspace_dims": [[1], [1]], "dims_v": [3], "n_obs": 500}})
-        data, _, P = harness.build_instance(cfg.sim)
+        data, _, P = harness.build_instance(cfg.sim, 0)
         with pytest.raises(ConfigError, match=r"dataset 0 .*'pre'"):
             harness.reduce_instance(cfg, data, P)
 
     def test_reduce_none_accepts_square_blocks(self):
         cfg = smoke_config()
-        data, _, P = harness.build_instance(cfg.sim)
+        data, _, P = harness.build_instance(cfg.sim, 0)
         assert harness.reduce_instance(cfg, data, P) == (data, None)
 
     def test_gpca_isa_converges(self):
@@ -712,6 +699,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"misa: error: {re.escape(str(path))}: [^\n]+\n", err)
         return err
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["W_0.misa", "A_0.misa", "Y.misa"], ids=["W", "A", "Y"])
+    def test_score_non_finite_named(self, tmp_path, capsys, name, value):
+        # a non-finite A_0.misa was scored as a MISI miss (exit 1), and a
+        # non-finite W_0.misa or Y.misa failed in the metrics, naming no file
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(write_smoke_cfg(tmp_path)), "--out", str(inst)])
+        save_matrix(inst / "W_0.misa", np.linalg.inv(load_matrix(inst / "A_0.misa")))
+        M = load_matrix(inst / name)
+        M[1, 2] = value
+        save_matrix(inst / name, M)
+        err = self.assert_names_file(capsys, ["score", "--data", str(inst)], inst / name)
+        assert err.endswith(": holds a NaN or infinite entry\n")
+
+    @pytest.mark.parametrize("under_file", [True, False], ids=["under-file", "is-file"])
+    @pytest.mark.parametrize("verb", ["generate", "solve", "experiment"])
+    def test_uncreatable_out_named(self, tmp_path, capsys, monkeypatch, verb, under_file):
+        # a file in the way ended in a traceback; solve and experiment met it
+        # only after solving
+        cfg = write_smoke_cfg(tmp_path)
+        inst = tmp_path / "inst"
+        cli_main(["generate", "--config", str(cfg), "--out", str(inst)])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if under_file else blocker
+
+        def solve(*args):
+            raise AssertionError("solved before the output directory was made")
+        monkeypatch.setattr(harness, "solve_instance", solve)
+        argv = {"generate": ["generate", "--config", str(cfg)],
+                "solve": ["solve", "--config", str(cfg), "--data", str(inst)],
+                "experiment": ["experiment", "--config", str(cfg)]}[verb]
+        err = self.assert_names_file(capsys, [*argv, "--out", str(out)], out)
+        assert ": cannot create output directory: " in err
 
     def test_config_not_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

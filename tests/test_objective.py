@@ -216,8 +216,8 @@ class TestValueProperties:
         rng = np.random.default_rng(6)
         from misa import SimSpec, build_instance
         spec = SimSpec(subspace_dims=np.array([[1], [2], [1]]), dims_v=[4],
-                       n_obs=3000, cond_target=2.0, rho_max=0.5, seed=9)
-        data, truth, P = build_instance(spec)
+                       n_obs=3000, cond_target=2.0, rho_max=0.5)
+        data, truth, P = build_instance(spec, 9)
         Wt = BlockTransform([np.linalg.inv(truth.A.blocks[0])])
         ctx = ObjectiveContext(data, P, dispersion=DispersionChoice.SCALE_CONTROLLED)
         v_true = evaluate(ctx, Wt).value

@@ -84,8 +84,8 @@ class TestPreGradient:
 class TestReduceData:
     def test_noiseless_reduction_oracle(self):
         spec = SimSpec(subspace_dims=np.ones((5, 1), dtype=int), dims_v=[20],
-                       n_obs=2000, cond_target=3.0, seed=11)
-        data, truth, _ = build_instance(spec)
+                       n_obs=2000, cond_target=3.0)
+        data, truth, _ = build_instance(spec, 11)
         red = reduce_data(data, [5])
         assert pre_value(red.B_star, data) < 1e-6
         # principal angles between row-space(B*) and column-space(A)

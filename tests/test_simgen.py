@@ -241,7 +241,7 @@ class TestSimSpec:
         # listed within-subspace correlation
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 1], [2, 0]]), dims_v=[4, 2],
                        n_obs=20000, cond_target=[2.0, 3.0], rho_max=[0.1, 0.4, 0.7])
-        _, truth, P = build_instance(spec)
+        _, truth, P = build_instance(spec, 0)
         np.testing.assert_allclose(truth.realized_conds, [2.0, 3.0], rtol=1e-8)
         corr = [np.corrcoef(truth.Y[P.sources(k)])[0, 1] for k in range(3)]
         np.testing.assert_allclose(corr, [0.1, 0.4, 0.7], atol=0.05)
@@ -264,7 +264,7 @@ class TestSimSpec:
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2], n_obs=100,
                        rho_max=0.0, cond_target=[1.0, 1.0], snr_db=np.inf, ar_rho=0.0,
                        copula_draws=1, family="copula")
-        _, truth, _ = build_instance(spec)
+        _, truth, _ = build_instance(spec, 0)
         np.testing.assert_allclose(truth.realized_conds, [1.0, 1.0], rtol=1e-8)
         assert truth.noise_scales == [0.0, 0.0]
 
@@ -272,16 +272,16 @@ class TestSimSpec:
 class TestBuildInstance:
     def test_noiseless_exact_mixing(self):
         spec = SimSpec(subspace_dims=np.array([[1], [2]]), dims_v=[3], n_obs=500,
-                       cond_target=2.0, seed=20)
-        data, truth, P = build_instance(spec)
+                       cond_target=2.0)
+        data, truth, P = build_instance(spec, 20)
         np.testing.assert_allclose(data.blocks[0],
                                    truth.A.blocks[0] @ truth.Y[:3], atol=1e-12)
         assert truth.realized_conds[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_snr_within_2_percent(self):
         spec = SimSpec(subspace_dims=np.ones((6, 1), dtype=int), dims_v=[10],
-                       n_obs=50000, cond_target=3.0, snr_db=10.0, seed=21)
-        data, truth, P = build_instance(spec)
+                       n_obs=50000, cond_target=3.0, snr_db=10.0)
+        data, truth, P = build_instance(spec, 21)
         A = truth.A.blocks[0]
         sig = np.sum((A @ truth.Y[:6]) ** 2)
         noise = np.sum((data.blocks[0] - A @ truth.Y[:6]) ** 2)
@@ -290,8 +290,8 @@ class TestBuildInstance:
 
     def test_iva_shapes(self):
         spec = SimSpec(subspace_dims=np.ones((8, 5), dtype=int), dims_v=[8] * 5,
-                       n_obs=2000, cond_target=3.0, rho_max=0.5, seed=22)
-        data, truth, P = build_instance(spec)
+                       n_obs=2000, cond_target=3.0, rho_max=0.5)
+        data, truth, P = build_instance(spec, 22)
         assert data.n_datasets == 5
         assert data.dims == [8] * 5
         assert truth.Y.shape == (40, 2000)
@@ -299,8 +299,8 @@ class TestBuildInstance:
 
     def test_cross_subspace_correlation_small(self):
         spec = SimSpec(subspace_dims=np.array([[2], [2]]), dims_v=[4], n_obs=8000,
-                       cond_target=2.0, rho_max=0.7, seed=23)
-        data, truth, P = build_instance(spec)
+                       cond_target=2.0, rho_max=0.7)
+        data, truth, P = build_instance(spec, 23)
         Y = truth.Y
         C = np.corrcoef(Y)
         # across-subspace entries should be near zero at this sample size
@@ -309,23 +309,22 @@ class TestBuildInstance:
 
     def test_within_subspace_correlated(self):
         spec = SimSpec(subspace_dims=np.array([[2], [2]]), dims_v=[4], n_obs=8000,
-                       cond_target=2.0, rho_max=0.7, seed=24)
-        data, truth, P = build_instance(spec)
+                       cond_target=2.0, rho_max=0.7)
+        data, truth, P = build_instance(spec, 24)
         C = np.corrcoef(truth.Y)
         assert abs(C[0, 1]) > 0.3
 
     def test_deterministic(self):
         spec = SimSpec(subspace_dims=np.array([[1], [2]]), dims_v=[3], n_obs=300,
-                       cond_target=2.0, snr_db=15.0, seed=25)
-        d1, t1, _ = build_instance(spec)
-        d2, t2, _ = build_instance(spec)
+                       cond_target=2.0, snr_db=15.0)
+        d1, t1, _ = build_instance(spec, 25)
+        d2, t2, _ = build_instance(spec, 25)
         np.testing.assert_array_equal(d1.blocks[0], d2.blocks[0])
         np.testing.assert_array_equal(t1.Y, t2.Y)
 
     def test_copula_family(self):
         spec = SimSpec(subspace_dims=np.ones((3, 2), dtype=int), dims_v=[3, 3],
-                       n_obs=3000, cond_target=2.0, rho_max=0.5,
-                       family="copula", seed=26)
-        data, truth, P = build_instance(spec)
+                       n_obs=3000, cond_target=2.0, rho_max=0.5, family="copula")
+        data, truth, P = build_instance(spec, 26)
         assert data.n_datasets == 2
         assert truth.Y.shape == (6, 3000)
