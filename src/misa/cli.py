@@ -15,6 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# one BLAS thread unless the caller set the count: OpenBLAS starts its
+# threads when numpy loads, and the solves' products are small enough that
+# extra threads only contend for the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import gradcheck
@@ -204,36 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _openblas(fn: str) -> list:
-    """The function fn ("set_num_threads" or "get_num_threads") of each
-    OpenBLAS that the numpy wheel bundles; empty when there is none, as with
-    another BLAS or another install layout. scipy's own OpenBLAS is left
-    unloaded: no solve loads scipy, and the copula generator's scipy.signal
-    makes no BLAS call."""
-    import ctypes
-
-    site = Path(np.__file__).resolve().parent.parent
-    libs = sorted(site.glob("numpy.libs/libscipy_openblas*.so*"))
-    found = []
-    for lib in libs:
-        so = ctypes.CDLL(str(lib))
-        for sym in (f"scipy_openblas_{fn}64_", f"scipy_openblas_{fn}", f"openblas_{fn}"):
-            if hasattr(so, sym):
-                f = getattr(so, sym)
-                f.argtypes, f.restype = (([ctypes.c_int], None) if fn == "set_num_threads"
-                                         else ([], ctypes.c_int))
-                found.append(f)
-                break
-    return found
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # one BLAS thread unless OPENBLAS_NUM_THREADS sets the count: the solves'
-    # products are small, and extra threads only contend for the cores
-    if "OPENBLAS_NUM_THREADS" not in os.environ:
-        for set_threads in _openblas("set_num_threads"):
-            set_threads(1)
     try:
         return args.fn(args)
     except MisaError as e:

@@ -114,24 +114,31 @@ def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
     from scipy.special import ndtr
 
     rng = np.random.default_rng(seed)
-
-    draws = []
-    corrs = []
     innov_scale = np.sqrt(1.0 - ar_rho ** 2)
-    for _ in range(n_draws):
+
+    def draw():
         E = rng.standard_normal((C, N))
         # Z_t = ar_rho Z_{t-1} + innov_scale E_t, started at Z_0 = E_0
         innov = innov_scale * E
         innov[:, 0] = E[:, 0]
         Z = lfilter([1.0], [1.0, -ar_rho], innov, axis=1)
-        G = Lj @ Z
-        U = np.clip(ndtr(G), 1e-12, 1.0 - 1e-12)
-        X = laplace_ppf(U, 1.0 / np.sqrt(2.0))
-        draws.append(X)
-        corrs.append(np.corrcoef(X))
+        U = np.clip(ndtr(Lj @ Z), 1e-12, 1.0 - 1e-12)
+        return laplace_ppf(U, 1.0 / np.sqrt(2.0))
+
+    # keep each draw's generator state and correlation matrix, not the draw:
+    # the winner is drawn again from its state
+    states, corrs = [], []
+    for _ in range(n_draws):
+        states.append(rng.bit_generator.state)
+        corrs.append(np.corrcoef(draw()))
     med = np.median(np.stack(corrs), axis=0)
-    dists = [float(np.linalg.norm(Rc - med)) for Rc in corrs]
-    return draws[int(np.argmin(dists))]
+    best = int(np.argmin([np.linalg.norm(Rc - med) for Rc in corrs]))
+    after = rng.bit_generator.state
+    rng.bit_generator.state = states[best]
+    X = draw()
+    # the caller draws on from where the n_draws draws left the generator
+    rng.bit_generator.state = after
+    return X
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -33,6 +34,19 @@ from misa import (
 import misa
 from misa import harness
 from misa.cli import main as cli_main
+
+
+def run_fresh(code, env=os.environ):
+    """The last line code prints, read as JSON, when it runs in a fresh
+    interpreter with the environment env that imports misa from this tree."""
+    src = str(Path(misa.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**env, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+RUN_CLI = "from misa import cli\ncli.main(['gradcheck', '--seed', '-1'])\n"
 
 
 class TestMatrixIO:
@@ -424,11 +438,7 @@ class TestRunExperiment:
             "         cli.main(['score', '--data', root + '/inst', '--est', root + '/est'])]\n"
             "loaded['cli'] = scipy()\n"
             "print(json.dumps([codes, loaded]))")
-        src = str(Path(misa.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": path})
-        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        codes, loaded = run_fresh(code)
         assert all(c in (0, 1) for c in codes)  # 1 is a MISI miss, not an error
         assert loaded == {k: [] for k in ("iva1", "isa2", "isa3", "ica1", "scoring", "cli")}
 
@@ -560,6 +570,48 @@ def write_smoke_cfg(tmp_path, **extra):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+class TestPackage:
+    # the public names and their modules, as the package exported them
+    # when it imported every module at once
+    EXPORTS = {
+        "errors": "ConfigError DefinitenessError DomainError MisaError ParseError RankError "
+                  "ShapeError",
+        "model": "PSI_GAUSS PSI_LAPLACE BlockTransform DispersionChoice KotzParams "
+                 "MultiDataset SubspaceAssignment kotz_from_psi kotz_log_pdf",
+        "objective": "ObjectiveContext ObjectiveReport evaluate relative_gradient",
+        "optimizer": "OptimOptions Solution Status minimize random_row_orthonormal",
+        "reduction": "ReductionResult gpca_init pre_gradient pre_value reduce_data",
+        "combinatorics": "gp hungarian match misa_gp_mdm run_misa subspace_perm",
+        "simgen": "GroundTruth SimSpec build_instance gen_mixing sample_copula_sources "
+                  "sample_mvlaplace snr_scale toeplitz_corr",
+        "metrics": "MISI_EXCELLENT MISI_GOOD interference_matrix misi "
+                   "misi_from_interference mmse",
+        "harness": "ExperimentConfig RunRecord config_from_dict correlation_summary "
+                   "load_config preset run_experiment summarize write_results",
+        "io": "load_matrix save_matrix",
+    }
+
+    def test_import_loads_no_numpy(self):
+        # so that a caller can still set the BLAS thread count after it
+        loaded = run_fresh("import json, sys\nimport misa\n"
+                           "print(json.dumps(sorted(m for m in sys.modules\n"
+                           "                        if m.split('.')[0] == 'numpy')))")
+        assert loaded == []
+
+    def test_names_resolve_to_their_modules(self):
+        names = {n: m for m, ns in self.EXPORTS.items() for n in ns.split()}
+        assert len(names) == 61
+        assert sorted(misa.__all__) == sorted(names)
+        for name, module in names.items():
+            assert getattr(misa, name) is getattr(
+                importlib.import_module(f"misa.{module}"), name), name
+        assert set(misa.__all__) <= set(dir(misa))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            misa.no_such_name
 
 
 class TestCli:
@@ -864,30 +916,34 @@ class TestCli:
         assert capsys.readouterr().err == (
             "misa: error: cond_target must be finite and >= 1, got inf\n")
 
-    @pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
-                             ids=["default", "explicit"])
-    def test_cli_blas_threads(self, env, threads):
-        # the BLAS thread count before and after cli.main, in a fresh process;
-        # gradcheck --seed -1 returns at once
-        code = ("import json\nfrom misa import cli\n"
-                "count = lambda: [f() for f in cli._openblas('get_num_threads')]\n"
-                "before = count()\n"
-                "cli.main(['gradcheck', '--seed', '-1'])\n"
-                "print(json.dumps([before, count()]))")
-        src = str(Path(misa.__file__).resolve().parents[1])
+    @pytest.mark.parametrize("setup, env, threads", [
+        (RUN_CLI, {}, 1), (RUN_CLI, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ("import misa\nfrom misa import harness\n", {}, None)],
+        ids=["default", "explicit", "library"])
+    def test_cli_blas_threads(self, setup, env, threads):
+        # the thread count of each OpenBLAS bundled with numpy, read after
+        # setup in a fresh process
+        probe = ("import ctypes, json\nimport numpy as np\nfrom pathlib import Path\n"
+                 "libs = Path(np.__file__).parent.parent / 'numpy.libs'\ncounts = []\n"
+                 "for lib in sorted(libs.glob('libscipy_openblas*.so*')):\n"
+                 "    so = ctypes.CDLL(str(lib))\n"
+                 "    for sym in ('scipy_openblas_get_num_threads64_',\n"
+                 "                'scipy_openblas_get_num_threads', 'openblas_get_num_threads'):\n"
+                 "        if hasattr(so, sym):\n"
+                 "            counts.append(getattr(so, sym)())\n"
+                 "            break\n"
+                 "print(json.dumps(counts))")
         # OpenBLAS also reads these two, and tests/conftest.py sets OMP to 1
         unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
         base = {k: v for k, v in os.environ.items() if k not in unset}
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**base, **env, "PYTHONPATH": path})
-        before, after = json.loads(out.stdout.splitlines()[-1])
-        if not after:
-            pytest.skip("no OpenBLAS bundled with numpy or scipy")
+        counts = run_fresh(setup + probe, {**base, **env})
+        if not counts:
+            pytest.skip("no OpenBLAS bundled with numpy")
         cores = len(os.sched_getaffinity(0))
-        assert after == [min(threads, cores)] * len(after)
-        if not env and cores > 1:  # importing misa left the count alone
-            assert min(before) > 1
+        if threads is not None:
+            assert counts == [min(threads, cores)] * len(counts)
+        elif cores > 1:  # importing misa left the count alone
+            assert min(counts) > 1
 
     def test_gradcheck_negative_seed_exits_2(self, capsys):
         assert cli_main(["gradcheck", "--seed", "-1"]) == 2

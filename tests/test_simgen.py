@@ -13,6 +13,7 @@ from misa import (
     DomainError,
     ShapeError,
     SimSpec,
+    SubspaceAssignment,
     build_instance,
     gen_mixing,
     sample_copula_sources,
@@ -211,6 +212,39 @@ class TestCopulaSources:
         Y1 = sample_copula_sources(2, 500, np.eye(2), seed=15)
         Y2 = sample_copula_sources(2, 500, np.eye(2), seed=15)
         np.testing.assert_array_equal(Y1, Y2)
+
+    def test_same_draw_and_stream_as_keeping_every_draw(self):
+        # the generator once kept all n_draws draws and returned the winner;
+        # it now draws the winner again. build_instance goes on drawing the
+        # mixing and the noise from the same generator, so its state after
+        # the call must match too. The shape is iva2's, scaled down.
+        from scipy.signal import lfilter
+
+        def kept_every_draw(C, N, R_joint, ar_rho, n_draws, rng):
+            Lj = np.linalg.cholesky(R_joint)
+            draws, corrs = [], []
+            for _ in range(n_draws):
+                E = rng.standard_normal((C, N))
+                innov = np.sqrt(1.0 - ar_rho ** 2) * E
+                innov[:, 0] = E[:, 0]
+                Z = lfilter([1.0], [1.0, -ar_rho], innov, axis=1)
+                U = np.clip(ndtr(Lj @ Z), 1e-12, 1.0 - 1e-12)
+                X = laplace_ppf(U, 1.0 / np.sqrt(2.0))
+                draws.append(X)
+                corrs.append(np.corrcoef(X))
+            med = np.median(np.stack(corrs), axis=0)
+            return draws[int(np.argmin([np.linalg.norm(Rc - med) for Rc in corrs]))]
+
+        P = SubspaceAssignment.from_dataset_dims(np.array([[1, 1]] * 4))
+        R = np.eye(P.n_sources)
+        for k in range(P.n_subspaces):
+            R[np.ix_(P.sources(k), P.sources(k))] = toeplitz_corr(2, 0.7)
+        for seed in range(3):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = kept_every_draw(P.n_sources, 600, R, 0.85, 20, old)
+            Y = sample_copula_sources(P.n_sources, 600, R, ar_rho=0.85, n_draws=20, seed=new)
+            assert np.array_equal(Y, expected)
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 class TestSimSpec:
