@@ -27,15 +27,19 @@ PSI_LAPLACE = (0.5, 1.0, 1.0)
 RANK_RTOL = 1e3 * np.finfo(float).eps
 
 
-def singular_pivots(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+def singular_pivots(L: np.ndarray, D: np.ndarray, real=None) -> np.ndarray:
     """Whether the Cholesky factor L of D (one matrix or a stack) has a
     squared pivot within RANK_RTOL of the mean diagonal of D: D is then
     singular to working precision, though rounding may leave it barely
-    positive definite (as for a dispersion of two identical sources)."""
-    d = D.shape[-1]
+    positive definite (as for a dispersion of two identical sources). When
+    given, real (..., d) marks the rows that count, so a padded member of a
+    stack is judged on its own block."""
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    floor = RANK_RTOL / d * np.trace(D, axis1=-2, axis2=-1)
-    return np.min(pivots, axis=-1) ** 2 <= floor
+    diag = np.diagonal(D, axis1=-2, axis2=-1)
+    d = D.shape[-1]
+    if real is not None:
+        pivots, diag, d = np.where(real, pivots, np.inf), diag * real, real.sum(axis=-1)
+    return np.min(pivots, axis=-1) ** 2 <= RANK_RTOL / d * np.sum(diag, axis=-1)
 
 
 def chol_pd(D: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -4,8 +4,8 @@ Both dispersion modes are supported: scale-invariant (dispersion tied to the
 sample covariance, objective blind to per-source rescaling) and
 scale-controlled (dispersion tied to the sample correlation, model variances
 pinned at alpha_k). One ObjectiveContext per solve holds the problem, the R
-factor of the data and the N-sized scratch. Subspaces with the same
-per-dataset dimensions are evaluated together as one (n, d, N) stack. The
+factor of the data and the N-sized scratch. All subspaces are evaluated
+together as one (K, d_max, N) stack, the smaller ones padded. The
 dispersions and the dispersion part of the gradient come from the R factor;
 the rest of the gradient is mapped from source space back to each dataset
 block. The relative-gradient transform used by the solvers is also
@@ -49,29 +49,32 @@ class ObjectiveReport:
     gradient: Optional[BlockTransform] = None
 
 
-def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
-                 ks, U: np.ndarray, z: np.ndarray, w: np.ndarray,
-                 gradient: bool = False):
+def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, c: Optional[np.ndarray],
+                 real: Optional[np.ndarray], named: bool, U: np.ndarray, z: np.ndarray,
+                 w: np.ndarray, gradient: bool = False):
     """Per-member (J_C, J_F, J_E, QZ) of a stack S (n, d, N) of subspaces
-    that share d and pk, given Z = S S^T (n, d, d).
+    that share pk's beta, lamb and eta, given Z = S S^T (n, d, d). The rows
+    of member i that real (n, d) does not mark (None: every row is a source)
+    come after its sources and are pads: zero rows of S with an identity
+    block in Z and c = 1, so each adds exactly 0 to every term and to the
+    gradient.
 
-    Member i's dispersion is D_i = Z_i / (c_i c_i^T): c = sqrt((N-1) alpha)
-    when scale-invariant (D = alpha^-1 * sample covariance), c = sqrt(diag Z)
-    when scale-controlled (D = sample correlation). J_C is ln det D and
-    z_n = y_n^T D^-1 y_n. Each D is factored and inverted once. With gradient,
-    dJ/dS of 0.5 J_C - J_F + J_E is U + QZ S: U is overwritten with the part
-    at fixed dispersion and QZ (n, d, d) is returned; else QZ is None. U
-    (n, d, N), z and w (n, N) are scratch. Errors name member i as subspace
-    ks[i] (unnamed when ks is None).
+    Member i's dispersion is D_i = Z_i / (c_i c_i^T): c (n, d) is given when
+    scale-invariant (sqrt((N-1) alpha_i), D = alpha^-1 * sample covariance)
+    and None when scale-controlled (c = sqrt(diag Z), D = sample
+    correlation). J_C is ln det D and z_n = y_n^T D^-1 y_n. Each D is
+    factored and inverted once. With gradient, dJ/dS of 0.5 J_C - J_F + J_E
+    is U + QZ S: U is overwritten with the part at fixed dispersion and QZ
+    (n, d, d) is returned; else QZ is None. U (n, d, N), z and w (n, N) are
+    scratch. Errors name member i as subspace i when named.
     """
     n, d, N = S.shape
+    controlled = c is None
 
     def fail(i, what):
-        raise DefinitenessError(what if ks is None else f"subspace {ks[i]}: {what}") from None
+        raise DefinitenessError(f"subspace {i}: {what}" if named else what) from None
 
-    if invariant:
-        c = np.full((n, d), np.sqrt((N - 1) * pk.alpha))
-    else:
+    if controlled:
         c = np.sqrt(np.diagonal(Z, axis1=1, axis2=2))
         bad = np.any(c <= 0, axis=1)
         if bad.any():
@@ -80,19 +83,24 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
     D = Z / cc
     try:
         L = np.linalg.cholesky(D)
-        retry = np.flatnonzero(singular_pivots(L, D))
+        retry = np.flatnonzero(singular_pivots(L, D, real))
     except np.linalg.LinAlgError:
-        L, retry = np.empty_like(D), range(n)
-    # chol_pd's jitter retry applies per member
+        L, retry = np.tile(np.eye(d), (n, 1, 1)), range(n)
+    # chol_pd's jitter retry applies per member, to its own block
     for i in retry:
+        di = d if real is None else real[i].sum()
         try:
-            L[i] = chol_pd(D[i], "dispersion")
+            L[i, :di, :di] = chol_pd(D[i, :di, :di], "dispersion")
         except DefinitenessError as e:
             fail(i, str(e))
     Linv = np.linalg.inv(L)
     Dinv = Linv.transpose(0, 2, 1) @ Linv
-    np.matmul(Dinv, S, out=U)
-    np.einsum("kin,kin->kn", S, U, out=z)
+    if d == 1:  # a batched 1 x 1 matmul costs more than the multiply
+        np.multiply(Dinv, S, out=U)
+        np.multiply(S[:, 0], U[:, 0], out=z)
+    else:
+        np.matmul(Dinv, S, out=U)
+        np.einsum("kin,kin->kn", S, U, out=z)
     bad = np.any(z <= 0, axis=1)
     if bad.any():
         fail(int(np.argmax(bad)), "nonpositive quadratic form")
@@ -112,7 +120,7 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, invariant: bool,
     # Q = dJ/dD = 0.5 (D^-1 - U (D^-1 S)^T), and U (D^-1 S)^T = (U S^T) D^-1
     Q = 0.5 * (Dinv - (U @ S.transpose(0, 2, 1)) @ Dinv)
     QZ = 2.0 * Q / cc
-    if not invariant:
+    if controlled:
         # c = sqrt(diag Z) moves with S too
         QZ[:, np.arange(d), np.arange(d)] -= 2.0 * np.sum(Q * D, axis=2) / c ** 2
     return jc, jf, je, QZ
@@ -125,24 +133,10 @@ def subspace_value(Yk: np.ndarray, Zk: np.ndarray) -> float:
     assignment at fixed W moves only the shares it touches."""
     d, N = Yk.shape
     pk = kotz_from_psi(PSI_LAPLACE, d)
-    jc, jf, je, _ = _stack_terms(Yk[None], Zk[None], pk, True, None,
+    jc, jf, je, _ = _stack_terms(Yk[None], Zk[None], pk,
+                                 np.full((1, d), np.sqrt((N - 1) * pk.alpha)), None, False,
                                  np.empty((1, d, N)), np.empty((1, N)), np.empty((1, N)))
     return float((0.5 * jc - jf + je - pk.log_norm_const)[0])
-
-
-@dataclass
-class _Stack:
-    """One stack of an ObjectiveContext: subspaces ks that share d_km and pk."""
-
-    ks: list
-    pk: KotzParams
-    cols: np.ndarray  # (n, d) source indices of the members
-    # (dataset m, W_m rows, view of S they produce, view of it in U)
-    products: list
-    S: np.ndarray  # (n, d, N) sources
-    U: np.ndarray  # (n, d, N) D^-1 S, then dJ/dS at fixed dispersion
-    z: np.ndarray  # (n, N)
-    w: np.ndarray  # (n, N)
 
 
 class ObjectiveContext:
@@ -155,11 +149,14 @@ class ObjectiveContext:
     Y = blockdiag(W) X are M Q^T with M = blockdiag(W) R^T, so
     Y Y^T = M M^T and Y X^T = M R need no N-sized product.
 
-    Subspaces with the same per-dataset dimensions d_km form one stack, so
-    position p of every member lies in one dataset: a stack within one
-    dataset is one product W_m[rows] X_m, any other one product per
-    position. evaluate overwrites the scratch on every call and returns
-    nothing that aliases it, so a context is not shared across threads.
+    All K subspaces form one stack S (K, d_max, N) in k order. When the
+    sizes differ, subspace k's slots from d_k on are pads: slot j reads row
+    C + j of M, which is 0, and of M M^T, where it meets an identity block.
+    The sources are written straight into S, one product W_m[rows] X_m per
+    run of consecutive members whose slot p lies in one dataset, or one
+    product in all when every slot is a source of one dataset. evaluate
+    overwrites the scratch on every call and returns nothing that aliases
+    it, so a context is not shared across threads.
     """
 
     def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
@@ -173,36 +170,42 @@ class ObjectiveContext:
         self.kotz = tuple(kotz_from_psi(psi, int(d)) for d in assignment.subspace_dims)
         self.f_constant = float(sum(p.log_norm_const for p in self.kotz))
         off = np.asarray(assignment.col_offsets)
-        d_km = assignment.per_dataset_dims()
-        N = data.n_obs
+        N, (K, C) = data.n_obs, assignment.P.shape
         # np.linalg.qr factors a copy of the stacked X^T and returns R alone
         R = np.linalg.qr(np.vstack(data.blocks).T, mode="r")
         v_off = np.cumsum([0] + [Xm.shape[0] for Xm in data.blocks])
         self.R_blocks = [np.ascontiguousarray(R[:, a:b])
                          for a, b in zip(v_off[:-1], v_off[1:])]
-        members = {}
-        for k in range(assignment.n_subspaces):
-            members.setdefault(tuple(d_km[k]), []).append(k)
-        self.stacks = []
-        for ks in members.values():
-            cols = np.array([assignment.sources(k) for k in ks])  # (n, d), ascending
-            datasets = np.searchsorted(off, cols[0], side="right") - 1
-            n, d = cols.shape
-            S, U = np.empty((n, d, N)), np.empty((n, d, N))
-            if np.all(datasets == datasets[0]):
-                m = int(datasets[0])
-                products = [(m, cols.ravel() - off[m], S.reshape(n * d, N),
-                             U.reshape(n * d, N))]
-            else:
-                products = [(int(m), cols[:, p] - off[m], S[:, p], U[:, p])
-                            for p, m in enumerate(datasets)]
-            self.stacks.append(_Stack(ks, self.kotz[ks[0]], cols, products, S, U,
-                                      np.empty((n, N)), np.empty((n, N))))
+        dims = assignment.subspace_dims
+        d = int(dims.max())
+        real = np.arange(d) < dims[:, None]
+        self.real = None if real.all() else real
+        self.cols = np.tile(C + np.arange(d), (K, 1))  # (K, d) source rows, pads after
+        self.cols[real] = np.nonzero(assignment.P)[1]
+        # M and M M^T with pad rows: 0 in M, an identity block in M M^T
+        rows = C if self.real is None else C + d
+        self.M, self.YY = np.zeros((rows, R.shape[0])), np.eye(rows)
+        alpha = np.array([p.alpha for p in self.kotz])
+        self.c = (np.where(real, np.sqrt((N - 1) * alpha)[:, None], 1.0)
+                  if dispersion is DispersionChoice.SCALE_INVARIANT else None)
+        # U holds D^-1 S, then dJ/dS at fixed dispersion
+        self.S, self.U = np.zeros((K, d, N)), np.empty((K, d, N))
+        self.z, self.w = np.empty((K, N)), np.empty((K, N))
+        # (dataset m, W_m rows, view of S they produce, view of it in U)
+        datasets = np.where(real, np.searchsorted(off, self.cols, side="right") - 1, -1)
+        if np.all(datasets == datasets[0, 0]):
+            m = int(datasets[0, 0])
+            self.products = [(m, self.cols.ravel() - off[m], self.S.reshape(K * d, N),
+                              self.U.reshape(K * d, N))]
+        else:
+            self.products = [(m, self.cols[a:b, p] - off[m], self.S[a:b, p], self.U[a:b, p])
+                             for p in range(d) for m, a, b in _runs(datasets[:, p]) if m >= 0]
 
 
-def _gram_blocks(YY: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (n, d, d) diagonal blocks YY[cols_i, cols_i] of Y Y^T."""
-    return YY[cols[:, :, None], cols[:, None, :]]
+def _runs(labels: np.ndarray):
+    """(label, start, stop) of each run of equal consecutive labels."""
+    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1), len(labels)]
+    return [(int(labels[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def evaluate(ctx: ObjectiveContext, W: BlockTransform,
@@ -211,34 +214,30 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     W.check_unmixing(ctx.data, ctx.assignment)
     jd, pinv_t = zip(*(svd_terms(Wm) for Wm in W.blocks))
     X = ctx.data.blocks
-    invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
-    M = np.vstack([Wm @ Rm.T for Wm, Rm in zip(W.blocks, ctx.R_blocks)])
-    YY = M @ M.T
-    per_k = np.empty((3, ctx.assignment.n_subspaces))
+    off = ctx.assignment.col_offsets
+    M, YY, C = ctx.M, ctx.YY, off[-1]
+    for m, (Wm, Rm) in enumerate(zip(W.blocks, ctx.R_blocks)):
+        np.matmul(Wm, Rm.T, out=M[off[m]:off[m + 1]])
+    np.matmul(M[:C], M[:C].T, out=YY[:C, :C])
+    for m, rows, S_view, _ in ctx.products:
+        np.matmul(W.blocks[m][rows], X[m], out=S_view)
+    cols = ctx.cols
+    jc, jf, je, QZ = _stack_terms(ctx.S, YY[cols[:, :, None], cols[:, None, :]], ctx.kotz[0],
+                                  ctx.c, ctx.real, True, ctx.U, ctx.z, ctx.w, with_gradient)
+    gradient = None
     if with_gradient:
         grads = [-Pm for Pm in pinv_t]
-        H = np.empty_like(M)  # QZ M, subspace by subspace
-    for st in ctx.stacks:
-        for m, rows, S_view, _ in st.products:
-            np.matmul(W.blocks[m][rows], X[m], out=S_view)
-        jc, jf, je, QZ = _stack_terms(st.S, _gram_blocks(YY, st.cols), st.pk,
-                                      invariant, st.ks, st.U, st.z, st.w,
-                                      with_gradient)
-        per_k[:, st.ks] = jc, jf, je
-        if with_gradient:
-            H[st.cols] = QZ @ M[st.cols]
-            for m, rows, _, G_view in st.products:
-                grads[m][rows] += G_view @ X[m].T
-    if with_gradient:
+        for m, rows, _, G_view in ctx.products:
+            grads[m][rows] += G_view @ X[m].T
         # QZ S X_m^T = (QZ M R)[rows of dataset m, columns of R_m]
-        off = ctx.assignment.col_offsets
+        H = np.empty_like(M)
+        H[cols] = QZ @ M[cols]
         for m, Rm in enumerate(ctx.R_blocks):
             grads[m] += H[off[m]:off[m + 1]] @ Rm
-
-    jd_sum = sum(jd)
-    jc_sum, jf_sum, je_sum = (sum(t) for t in per_k.tolist())  # in k order
-    value = -jd_sum + 0.5 * jc_sum - ctx.f_constant - jf_sum + je_sum
-    gradient = BlockTransform(grads) if with_gradient else None
+        gradient = BlockTransform(grads)
+    # the terms are summed in k order
+    value = (-sum(jd) + 0.5 * sum(jc.tolist()) - ctx.f_constant - sum(jf.tolist())
+             + sum(je.tolist()))
     return ObjectiveReport(value=float(value), gradient=gradient)
 
 

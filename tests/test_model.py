@@ -196,6 +196,31 @@ class TestKotzLogPdf:
             kotz_log_pdf(np.zeros(3), np.eye(2), p)
 
 
+class TestSingularPivots:
+    def test_padded_member_judged_on_its_own_block(self):
+        # members of d = 2 and 3 padded to 4 with an identity block, at
+        # scales where counting the pads would move the floor (RANK_RTOL
+        # times the mean diagonal) past a real pivot or a pad's pivot of 1
+        rng = np.random.default_rng(0)
+        blocks = []
+        for d, scale, near_singular in [(2, 1e8, False), (3, 1e-15, False),
+                                        (2, 1.0, True), (3, 1e8, True)]:
+            A = rng.standard_normal((d, d + 2))
+            if near_singular:
+                A[-1] = A[0] + 1e-7 * rng.standard_normal(d + 2)
+            blocks.append(scale * A @ A.T)
+        D = np.tile(np.eye(4), (len(blocks), 1, 1))
+        real = np.zeros((len(blocks), 4), bool)
+        for i, B in enumerate(blocks):
+            D[i, :len(B), :len(B)] = B
+            real[i, :len(B)] = True
+        L = np.linalg.cholesky(D)
+        alone = [bool(model.singular_pivots(np.linalg.cholesky(B), B)) for B in blocks]
+        assert alone == [False, False, True, True]
+        assert model.singular_pivots(L, D, real).tolist() == alone
+        assert model.singular_pivots(L, D).tolist() != alone
+
+
 class TestMultiDataset:
     def test_valid(self):
         d = MultiDataset([np.zeros((3, 10)), np.zeros((2, 10))])

@@ -15,8 +15,8 @@ from misa import (
 )
 from misa import DefinitenessError
 from misa.gradcheck import fd_gradient, max_rel_error, random_instance
-from misa.model import chol_pd, logdet_from_chol
-from misa.objective import svd_terms, value_from_sources
+from misa.model import RANK_RTOL, chol_pd, kotz_from_psi, logdet_from_chol
+from misa.objective import _stack_terms, svd_terms, value_from_sources
 from scipy.linalg import cho_solve
 
 
@@ -71,8 +71,8 @@ def reference_evaluate(ctx, W):
     return value, grads
 
 
-# K x M per-dataset dims with d in {1, 1, 2, 2, 3, 5}: stacks of two or
-# more members, and (M = 3) two stacks of one dimension
+# K x M per-dataset dims with d in {1, 1, 2, 2, 3, 5}: one stack padded to
+# d = 5, with (M > 1) slots of one position in different datasets
 REPEATED_DIMS = {
     1: [[1], [1], [2], [2], [3], [5]],
     2: [[1, 0], [1, 0], [1, 1], [1, 1], [2, 1], [3, 2]],
@@ -246,18 +246,21 @@ class TestBatchedKernel:
         assert evaluate(ctx, W).value == rep.value
 
     def test_zero_power_row_names_its_subspace(self):
-        # subspaces 1 and 2 form one d = 2 stack; the first source of
-        # subspace 2 (column 3) reads the all-zero last data row
+        # the first source of subspace 2 reads the all-zero last data row;
+        # in the first stack subspace 0 is padded, in the second subspace 2
         rng = np.random.default_rng(3)
-        Xm = rng.laplace(size=(6, 300))
-        Xm[5] = 0.0
-        P = SubspaceAssignment.from_dataset_dims(np.array([[1], [2], [2]]))
-        Wm = np.eye(5, 6)
-        Wm[3] = np.eye(6)[5]
-        ctx = ObjectiveContext(MultiDataset([Xm]), P,
-                               dispersion=DispersionChoice.SCALE_CONTROLLED)
-        with pytest.raises(DefinitenessError, match="subspace 2: zero-power source row"):
-            evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
+        for dims, col in (([[1], [2], [2]], 3), ([[1], [3], [2]], 4)):
+            C = sum(d for (d,) in dims)
+            Xm = rng.laplace(size=(C + 1, 300))
+            Xm[C] = 0.0
+            P = SubspaceAssignment.from_dataset_dims(np.array(dims))
+            Wm = np.eye(C, C + 1)
+            Wm[col] = np.eye(C + 1)[C]
+            ctx = ObjectiveContext(MultiDataset([Xm]), P,
+                                   dispersion=DispersionChoice.SCALE_CONTROLLED)
+            assert ctx.S.shape[:2] == (3, max(P.subspace_dims))
+            with pytest.raises(DefinitenessError, match="subspace 2: zero-power source row"):
+                evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
 
     @pytest.mark.parametrize("mode", list(DispersionChoice))
     def test_singular_dispersion_in_stack_takes_jitter(self, mode):
@@ -281,6 +284,76 @@ class TestBatchedKernel:
         # the jittered dispersion has condition number ~1e12, so the two
         # inverses differ by rounding magnified to ~1e-5 relative
         assert rep.value == pytest.approx(value, rel=1e-4)
+
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    def test_padding_changes_nothing(self, mode, singular):
+        # members of d = 1, 2 and 3 beside one of d = 4: each padded member
+        # gives the terms and the gradient block of the same member in a
+        # stack of its own. With two equal rows, the d = 2 member is
+        # singular and takes the jitter of its own block: its rows are
+        # scaled away from alpha, so a scale-invariant padded block would
+        # get another jitter and J_C would move by O(1). Its dispersion then
+        # has condition number ~1e12, which magnifies the rounding of U S^T
+        # in its gradient to ~1e-6 relative
+        rng = np.random.default_rng(5)
+        N = 400
+        members = [3.0 * rng.laplace(size=(d, N)) for d in (1, 2, 3, 4)]
+        if singular:
+            members[1][1] = members[1][0]
+        dims = np.array([len(Y) for Y in members])
+
+        def terms(Ys, real):
+            n, d = len(Ys), max(len(Y) for Y in Ys)
+            S = np.zeros((n, d, N))
+            for i, Y in enumerate(Ys):
+                S[i, :len(Y)] = Y
+            Z = S @ S.transpose(0, 2, 1)
+            pads = ~real if real is not None else np.zeros((n, d), bool)
+            Z[:, np.arange(d), np.arange(d)] += pads
+            c = None
+            if mode is DispersionChoice.SCALE_INVARIANT:
+                a = np.array([kotz_from_psi(PSI_GENERAL, len(Y)).alpha for Y in Ys])
+                c = np.where(pads, 1.0, np.sqrt((N - 1) * a)[:, None])
+            U = np.empty_like(S)
+            jc, jf, je, QZ = _stack_terms(S, Z, kotz_from_psi(PSI_GENERAL, d), c, real, True,
+                                          U, np.empty((n, N)), np.empty((n, N)), gradient=True)
+            return jc, jf, je, U + QZ @ S
+
+        padded = terms(members, np.arange(4) < dims[:, None])
+        assert np.all(padded[3][np.arange(4) >= dims[:, None]] == 0)
+        for i, Y in enumerate(members):
+            alone = terms([Y], None)
+            for t, t_alone in zip(padded[:3], alone[:3]):
+                assert abs(t[i] - t_alone[0]) <= 1e-14 * abs(t_alone[0])
+            G, G_alone = padded[3][i, :len(Y)], alone[3][0]
+            rtol = 1e-5 if singular and i == 1 else 1e-14
+            assert np.max(np.abs(G - G_alone)) <= rtol * np.max(np.abs(G_alone))
+
+    def test_padded_member_takes_its_own_singularity_floor(self):
+        # D = s [[1, r], [r, 1]] with 1 - r^2 = 0.75 RANK_RTOL: its squared
+        # pivot is within RANK_RTOL of its own mean diagonal s, so alone it
+        # takes the jitter, but a floor that counted two pads of 1 would be
+        # about s / 2 and miss it. With c = 1, D = Z
+        rng = np.random.default_rng(6)
+        N, s = 50, 1e4
+        r = np.sqrt(1.0 - 0.75 * RANK_RTOL)
+        Z1 = s * np.array([[1.0, r], [r, 1.0]])
+        S = np.zeros((2, 4, N))
+        S[0, :2], S[1] = rng.standard_normal((2, N)), rng.standard_normal((4, N))
+        Z = np.stack([np.eye(4), S[1] @ S[1].T])
+        Z[0, :2, :2] = Z1
+        real = np.arange(4) < np.array([[2], [4]])
+
+        def j_c(S, Z, real):
+            n, d, _ = S.shape
+            return _stack_terms(S, Z, kotz_from_psi(PSI_LAPLACE, d), np.ones((n, d)), real, True,
+                                np.empty_like(S), np.empty((n, N)), np.empty((n, N)))[0]
+
+        alone = j_c(S[:1, :2], Z1[None], None)[0]
+        jitter = 1e-12 * s
+        assert alone == pytest.approx(np.log(np.linalg.det(Z1 + jitter * np.eye(2))), rel=1e-6)
+        assert j_c(S, Z, real)[0] == pytest.approx(alone, rel=1e-12)
 
     @pytest.mark.parametrize("mode", list(DispersionChoice))
     def test_ill_conditioned_data_matches_reference(self, mode):
@@ -307,15 +380,21 @@ class TestBuffers:
     """The N-sized scratch an ObjectiveContext holds for its solve."""
 
     def test_no_scratch_beyond_sources_and_gradient(self):
-        # per stack: the sources S and one (n, d, N) array that holds D^-1 S
-        # and then dJ/dS at fixed dispersion; the gradient needs no third
+        # one (K, d_max, N) stack for subspaces of dims 1-5: the sources S
+        # and one array that holds D^-1 S and then dJ/dS at fixed
+        # dispersion; the gradient needs no third, and the pad rows of S
+        # stay 0
         rng = np.random.default_rng(8)
-        X, P, _ = repeated_dims_instance(rng, 3)
+        X, P, W = repeated_dims_instance(rng, 3)
         N = X.n_obs
-        for st in ObjectiveContext(X, P).stacks:
-            big = [a for a in vars(st).values()
-                   if isinstance(a, np.ndarray) and a.ndim == 3 and a.shape[-1] == N]
-            assert [a.shape for a in big] == [st.S.shape] * 2
+        ctx = ObjectiveContext(X, P)
+        big = [a for a in vars(ctx).values()
+               if isinstance(a, np.ndarray) and a.ndim == 3 and a.shape[-1] == N]
+        assert [a.shape for a in big] == [(P.n_subspaces, 5, N)] * 2
+        evaluate(ctx, W, with_gradient=True)
+        pads = np.arange(5) >= P.subspace_dims[:, None]
+        assert pads.sum() == 5 * P.n_subspaces - P.n_sources
+        assert np.all(ctx.S[pads] == 0)
 
     def test_reuse_matches_fresh_and_does_not_alias(self):
         rng = np.random.default_rng(8)
