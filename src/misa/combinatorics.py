@@ -8,11 +8,10 @@ linear sum assignment.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -127,20 +126,6 @@ def match(P_est, P_ud) -> np.ndarray:
     return np.argsort(rank, kind="stable")
 
 
-def _share_cache(Y: np.ndarray):
-    """share(rows): the scale-invariant share of the subspace whose sources
-    are Y[rows], in that order, cached by the row tuple. Y Y^T is formed
-    once, and every Z is sliced from it."""
-    YY = Y @ Y.T
-
-    @functools.lru_cache(maxsize=None)
-    def share(rows: Tuple[int, ...]) -> float:
-        r = list(rows)
-        return obj.subspace_value(Y[r], YY[np.ix_(r, r)])
-
-    return share
-
-
 def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> SubspaceAssignment:
     """Greedy source-group reassignment at fixed W (single dataset).
 
@@ -152,7 +137,7 @@ def gp(data: MultiDataset, P: SubspaceAssignment, W: BlockTransform) -> Subspace
     """
     if data.n_datasets != 1:
         raise ShapeError("gp operates on a single dataset")
-    cost = _share_cache(W.transform(data))
+    cost = obj.shares(W.transform(data))
     groups = [tuple(P.sources(k).tolist()) for k in range(P.n_subspaces)]
     for c in range(P.n_sources):
         if len(groups) == 1:
@@ -216,7 +201,7 @@ def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,
 
     if not groups:
         return W
-    share = _share_cache(W.transform(data))
+    share = obj.shares(W.transform(data))
     sources = [P_ud.sources(k) for k in range(P_ud.n_subspaces)]
 
     # a candidate is one row order of W: order[c] is the row serving source c

@@ -138,7 +138,7 @@ def preset(name: str) -> ExperimentConfig:
     """Desk-scale presets mirroring the benchmark protocols: 10 replicates
     each, at a tighter function tolerance than the library default. Every
     call builds new objects, so a caller may change what it gets."""
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ConfigError(f"unknown experiment preset {name!r}")
     sim, settings = _PRESETS[name]
     return ExperimentConfig(experiment=name, sim=SimSpec(**sim), replicates=10,

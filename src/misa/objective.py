@@ -8,14 +8,16 @@ factor of the data and the N-sized scratch. All subspaces are evaluated
 together as one (K, d_max, N) stack, the smaller ones padded. The
 dispersions and the dispersion part of the gradient come from the R factor;
 the rest of the gradient is mapped from source space back to each dataset
-block. The relative-gradient transform used by the solvers is also
-provided here.
+block. The per-subspace shares that the combinatorial steps score at
+fixed W, and the relative-gradient transform used by the solvers, are
+also provided here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,17 +128,25 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, c: Optional[np.nd
     return jc, jf, je, QZ
 
 
-def subspace_value(Yk: np.ndarray, Zk: np.ndarray) -> float:
-    """One subspace's share of the scale-invariant Laplace objective from its
-    sources Yk (d, N) and Zk = Yk Yk^T: 0.5 J_C - J_F + J_E minus its Kotz log
-    normalizer. The objective is the sum of these less J_D, so a change of
-    assignment at fixed W moves only the shares it touches."""
-    d, N = Yk.shape
-    pk = kotz_from_psi(PSI_LAPLACE, d)
-    jc, jf, je, _ = _stack_terms(Yk[None], Zk[None], pk,
-                                 np.full((1, d), np.sqrt((N - 1) * pk.alpha)), None, False,
-                                 np.empty((1, d, N)), np.empty((1, N)), np.empty((1, N)))
-    return float((0.5 * jc - jf + je - pk.log_norm_const)[0])
+def shares(Y: np.ndarray):
+    """share(rows): the share of the scale-invariant Laplace objective of the
+    subspace whose sources are Y[rows], in that order: 0.5 J_C - J_F + J_E
+    minus its Kotz log normalizer, a stack of one. The objective is the sum
+    of these less J_D, so a change of assignment at fixed W moves only the
+    shares it touches. Y Y^T is formed once, every Z is sliced from it, and
+    each share is cached by its row tuple."""
+    YY, N = Y @ Y.T, Y.shape[1]
+
+    @functools.lru_cache(maxsize=None)
+    def share(rows: Tuple[int, ...]) -> float:
+        r, d = list(rows), len(rows)
+        pk = kotz_from_psi(PSI_LAPLACE, d)
+        jc, jf, je, _ = _stack_terms(Y[r][None], YY[np.ix_(r, r)][None], pk,
+                                     np.full((1, d), np.sqrt((N - 1) * pk.alpha)), None, False,
+                                     np.empty((1, d, N)), np.empty((1, N)), np.empty((1, N)))
+        return float((0.5 * jc - jf + je - pk.log_norm_const)[0])
+
+    return share
 
 
 class ObjectiveContext:
@@ -194,6 +204,9 @@ class ObjectiveContext:
         # (dataset m, W_m rows, view of S they produce, view of it in U)
         datasets = np.where(real, np.searchsorted(off, self.cols, side="right") - 1, -1)
         if np.all(datasets == datasets[0, 0]):
+            # not redundant beside the per-slot runs: BLAS rounds one
+            # (K d, V) product differently from d (K, V) ones, and without
+            # this branch isa1's records at seed 1 change
             m = int(datasets[0, 0])
             self.products = [(m, self.cols.ravel() - off[m], self.S.reshape(K * d, N),
                               self.U.reshape(K * d, N))]
@@ -243,13 +256,13 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
 
 def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment) -> float:
     """Scale-invariant objective value less J_D from precomputed sources
-    Y = W X: the sum of subspace_value over the subspaces in k order, with
-    every Z sliced from one Y Y^T. J_D depends only on W, so candidates at
-    fixed W compare without it. No solver calls it; the tests keep it as the
-    full-rescoring reference, and perfbench/tracer.py wraps it by name."""
-    YY = Y @ Y.T
-    return sum(subspace_value(Y[idx], YY[np.ix_(idx, idx)])
-               for idx in map(assignment.sources, range(assignment.n_subspaces)))
+    Y = W X: the sum of the shares of the subspaces in k order. J_D depends
+    only on W, so candidates at fixed W compare without it. No solver calls
+    it; the tests keep it as the full-rescoring reference, and
+    perfbench/tracer.py wraps it by name."""
+    share = shares(Y)
+    return sum(share(tuple(assignment.sources(k).tolist()))
+               for k in range(assignment.n_subspaces))
 
 
 def relative_gradient(grad: BlockTransform, W: BlockTransform) -> BlockTransform:

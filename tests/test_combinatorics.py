@@ -23,7 +23,7 @@ from misa import (
 )
 from misa import combinatorics
 from misa.combinatorics import START_TOL_FUN, TIE_EPS
-from misa.objective import ObjectiveContext, evaluate, subspace_value, value_from_sources
+from misa.objective import ObjectiveContext, _stack_terms, evaluate, value_from_sources
 from misa.optimizer import Solution, Status
 
 OPTS = OptimOptions(tol_fun=1e-8)
@@ -472,11 +472,11 @@ class TestSubspacePerm:
     def test_single_dataset_groups_skipped(self, monkeypatch):
         calls = []
 
-        def counting(Yk, Zk):
+        def counting(*args):
             calls.append(1)
-            return subspace_value(Yk, Zk)
+            return _stack_terms(*args)
 
-        monkeypatch.setattr(combinatorics.obj, "subspace_value", counting)
+        monkeypatch.setattr(combinatorics.obj, "_stack_terms", counting)
         # M = 1, equal sizes: every swap is a relabelling, so W comes back as is
         data, truth, P = isa_instance()
         rng = np.random.default_rng(4)

@@ -188,6 +188,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset("ica99")
 
+    @pytest.mark.parametrize("name", [["isa2"], {}, 5, None])
+    def test_non_string_preset_name(self, name):
+        # an unhashable name must not escape as a TypeError
+        with pytest.raises(ConfigError, match="unknown experiment preset"):
+            config_from_dict({"experiment": name})
+
     def test_bad_solver(self):
         d = self.base()
         d["solver"] = "em"
@@ -724,6 +730,13 @@ class TestCli:
     def test_unknown_preset_exits_2(self, capsys):
         assert cli_main(["experiment", "--experiment", "ica99"]) == 2
         assert capsys.readouterr().err == "misa: error: unknown experiment preset 'ica99'\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    @pytest.mark.parametrize("name", [["isa2"], {}])
+    def test_non_string_preset_name_exits_2(self, tmp_path, capsys, command, name):
+        cfg = write_smoke_cfg(tmp_path, experiment=name)
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"misa: error: unknown experiment preset {name!r}\n"
 
     def test_one_subspace_config_exits_2(self, tmp_path, capsys):
         # MISI is undefined for K = 1, so the config fails before any solve

@@ -36,7 +36,10 @@ README.md names no stale code: every backticked snake_case or CamelCase
 identifier in its prose is defined in ``src/misa`` (a function, class,
 field, assigned name or attribute, or a module) or appears there as a
 string constant. File names such as ``records.csv`` and the words in
-``NOT_CODE`` are exempt.
+``NOT_CODE`` are exempt. A dotted span whose first part is a module of
+``src/misa``, such as ``harness.solve_instance``, names something that module
+defines or imports at its top level, so a helper moved to another module
+cannot be named under its old one.
 """
 
 import ast
@@ -142,13 +145,18 @@ def defined_names(sources: dict) -> set:
     return names
 
 
+def readme_spans(text: str) -> list:
+    """Backticked spans outside fenced code blocks."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return re.findall(r"`([^`\n]+)`", prose)
+
+
 def readme_names(text: str) -> set:
     """Backticked snake_case or CamelCase identifiers outside fenced code
     blocks; a dotted span such as ``harness.solve_instance`` or
     ``objective.ObjectiveContext`` yields each of its parts."""
-    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     names = set()
-    for span in re.findall(r"`([^`\n]+)`", prose):
+    for span in readme_spans(text):
         parts = span.split(".")
         snake = span.islower() and "_" in span
         camel = any(CAMEL_CASE.fullmatch(part) for part in parts)
@@ -158,6 +166,30 @@ def readme_names(text: str) -> set:
     return names - NOT_CODE
 
 
+def unresolved_qualified(text: str, sources: dict) -> list:
+    """Dotted README spans whose first part is a module of ``sources``
+    {stem: source} and whose second part that module neither defines nor
+    imports at its top level. File names such as ``model.py`` are exempt."""
+    top = {}
+    for stem, source in sources.items():
+        names = top[stem] = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    unresolved = []
+    for span in readme_spans(text):
+        parts = span.split(".")
+        if (DOTTED_NAME.fullmatch(span) and len(parts) > 1 and parts[0] in top
+                and parts[-1] not in FILE_SUFFIXES and parts[1] not in top[parts[0]]):
+            unresolved.append(span)
+    return sorted(unresolved)
+
+
 def test_readme_scan():
     text = ("`run_x` and `mod.sub_y`, not `records.csv`, `plain`, `a b_c`\n"
             "`mod.Klass`, not `NaN`, `MISA`, `T`, `C_m`\n"
@@ -165,12 +197,21 @@ def test_readme_scan():
     assert readme_names(text) == {"run_x", "mod", "sub_y", "Klass"}
     src = {"mod": "class Klass:\n    f_x: int = 0\ndef run_x(): return 'sub_y'\n"}
     assert {"mod", "Klass", "f_x", "run_x", "sub_y"} <= defined_names(src)
+    # a part defined anywhere passes readme_names, but a module-qualified
+    # span must resolve in its own module: sub_y is only a string in mod,
+    # f_x a class field, and run_x is defined in mod, not in other
+    src["other"] = "from mod import Klass\nLIMIT = 3\n"
+    text = ("`mod.run_x`, `mod.Klass.f_x`, `mod.sub_y`, `mod.f_x`, `other.Klass`,\n"
+            "`other.LIMIT`, `other.run_x`, `other.py`, `elsewhere.run_x`\n"
+            "```\n`other.in_fence`\n```\n")
+    assert unresolved_qualified(text, src) == ["mod.f_x", "mod.sub_y", "other.run_x"]
 
 
 def test_readme_names_defined():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "misa").glob("*.py")}
-    names = readme_names((ROOT / "README.md").read_text())
-    assert sorted(names - defined_names(sources)) == []
+    text = (ROOT / "README.md").read_text()
+    assert sorted(readme_names(text) - defined_names(sources)) == []
+    assert unresolved_qualified(text, sources) == []
 
 
 def test_readme_json_configs_load():

@@ -13,10 +13,10 @@ from misa import (
     random_row_orthonormal,
     relative_gradient,
 )
-from misa import DefinitenessError
+from misa import DefinitenessError, objective
 from misa.gradcheck import fd_gradient, max_rel_error, random_instance
 from misa.model import RANK_RTOL, chol_pd, kotz_from_psi, logdet_from_chol
-from misa.objective import _stack_terms, svd_terms, value_from_sources
+from misa.objective import _stack_terms, shares, svd_terms, value_from_sources
 from scipy.linalg import cho_solve
 
 
@@ -423,6 +423,28 @@ class TestValueFromSources:
         v = value_from_sources(W.transform(X), P) - jd
         assert v == pytest.approx(evaluate(ObjectiveContext(X, P, dispersion=mode), W).value,
                                   abs=1e-10)
+
+
+class TestShares:
+    @pytest.mark.parametrize("rows", [(2,), (0, 3), (1, 2, 4), (4, 1, 2)])
+    def test_matches_reference_once_per_tuple(self, monkeypatch, rows):
+        rng = np.random.default_rng(14)
+        N = 400
+        Y = rng.standard_normal((5, 5)) @ rng.laplace(size=(5, N))
+        pk = kotz_from_psi(PSI_LAPLACE, len(rows))
+        jc, jf, je, _ = reference_subspace_terms(Y[list(rows)], pk, N, True, False)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _stack_terms(*args)
+
+        monkeypatch.setattr(objective, "_stack_terms", counting)
+        share = shares(Y)
+        expected = 0.5 * jc - jf + je - pk.log_norm_const
+        assert share(rows) == pytest.approx(expected, rel=1e-12)
+        share(tuple(list(rows)))  # an equal tuple is served from the cache
+        assert len(calls) == 1
 
 
 class TestRelativeGradient:
