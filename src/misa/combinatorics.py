@@ -164,11 +164,11 @@ def run_misa(data: MultiDataset, P: SubspaceAssignment, W0: BlockTransform,
     gradient to the quasi-Newton solver."""
     ctx = obj.ObjectiveContext(data, P, dispersion=dispersion)
 
-    def fg(W: BlockTransform):
-        rep = obj.evaluate(ctx, W, with_gradient=True)
-        return rep.value, obj.relative_gradient(rep.gradient, W)
+    def fun(W: BlockTransform):
+        rep = obj.evaluate(ctx, W)
+        return rep.value, lambda: obj.relative_gradient(rep.gradient(), W)
 
-    return opt.minimize(fg, W0, opts)
+    return opt.minimize(fun, W0, opts)
 
 
 def subspace_perm(data: MultiDataset, P_ud: SubspaceAssignment,

@@ -34,12 +34,12 @@ def singular_pivots(L: np.ndarray, D: np.ndarray, real=None) -> np.ndarray:
     positive definite (as for a dispersion of two identical sources). When
     given, real (..., d) marks the rows that count, so a padded member of a
     stack is judged on its own block."""
-    pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    diag = np.diagonal(D, axis1=-2, axis2=-1)
+    pivots = L.diagonal(axis1=-2, axis2=-1)
+    diag = D.diagonal(axis1=-2, axis2=-1)
     d = D.shape[-1]
     if real is not None:
         pivots, diag, d = np.where(real, pivots, np.inf), diag * real, real.sum(axis=-1)
-    return np.min(pivots, axis=-1) ** 2 <= RANK_RTOL / d * np.sum(diag, axis=-1)
+    return pivots.min(axis=-1) ** 2 <= RANK_RTOL / d * diag.sum(axis=-1)
 
 
 def chol_pd(D: np.ndarray, what: str = "matrix") -> np.ndarray:

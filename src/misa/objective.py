@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,38 +37,41 @@ from .model import (
 
 
 def svd_terms(W_m: np.ndarray):
-    """(sum of log singular values of W_m, (W_m^-)^T) from one thin SVD;
-    RankError when the smallest singular value is below the rank threshold."""
+    """(sum of log singular values, (W_m^-)^T) of W_m, or of each matrix of
+    a stack (n, C, V), from one thin SVD call; RankError when a smallest
+    singular value is below the rank threshold."""
     U, s, Vt = np.linalg.svd(W_m, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
+    if np.any(s[..., -1] <= RANK_RTOL * s[..., 0]):
         raise RankError("W block is rank deficient")
-    return float(np.sum(np.log(s))), (U / s) @ Vt
+    return np.log(s).sum(axis=-1), (U / s[..., None, :]) @ Vt
 
 
 @dataclass(frozen=True)
 class ObjectiveReport:
+    """The value at W, and gradient(): the gradient there, finished from the
+    context's scratch. Its first call raises once the context evaluates again."""
     value: float
-    gradient: Optional[BlockTransform] = None
+    gradient: Callable[[], BlockTransform]
 
 
 def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, c: Optional[np.ndarray],
                  real: Optional[np.ndarray], named: bool, U: np.ndarray, z: np.ndarray,
-                 w: np.ndarray, gradient: bool = False):
-    """Per-member (J_C, J_F, J_E, QZ) of a stack S (n, d, N) of subspaces
-    that share pk's beta, lamb and eta, given Z = S S^T (n, d, d). The rows
-    of member i that real (n, d) does not mark (None: every row is a source)
-    come after its sources and are pads: zero rows of S with an identity
-    block in Z and c = 1, so each adds exactly 0 to every term and to the
-    gradient.
+                 w: np.ndarray):
+    """Per-member (J_C, J_F, J_E) of a stack S (n, d, N) of subspaces that
+    share pk's beta, lamb and eta, given Z = S S^T (n, d, d), and qz(). The
+    rows of member i that real (n, d) does not mark (None: every row is a
+    source) come after its sources and are pads: zero rows of S with an
+    identity block in Z and c = 1, so each adds exactly 0 to every term and
+    to the gradient.
 
     Member i's dispersion is D_i = Z_i / (c_i c_i^T): c (n, d) is given when
     scale-invariant (sqrt((N-1) alpha_i), D = alpha^-1 * sample covariance)
     and None when scale-controlled (c = sqrt(diag Z), D = sample
     correlation). J_C is ln det D and z_n = y_n^T D^-1 y_n. Each D is
-    factored and inverted once. With gradient, dJ/dS of 0.5 J_C - J_F + J_E
-    is U + QZ S: U is overwritten with the part at fixed dispersion and QZ
-    (n, d, d) is returned; else QZ is None. U (n, d, N), z and w (n, N) are
-    scratch. Errors name member i as subspace i when named.
+    factored and inverted once. dJ/dS of 0.5 J_C - J_F + J_E is U + QZ S:
+    qz() overwrites U with the part at fixed dispersion and returns QZ
+    (n, d, d). U (n, d, N), z and w (n, N) are scratch, which qz() reads
+    as the terms left it. Errors name member i as subspace i when named.
     """
     n, d, N = S.shape
     controlled = c is None
@@ -76,11 +79,16 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, c: Optional[np.nd
     def fail(i, what):
         raise DefinitenessError(f"subspace {i}: {what}" if named else what) from None
 
+    def check_positive(x, what):
+        # one reduction when every entry passes; NaN is not <= 0
+        if not x.min() > 0:
+            bad = np.any(x <= 0, axis=1)
+            if bad.any():
+                fail(int(np.argmax(bad)), what)
+
     if controlled:
-        c = np.sqrt(np.diagonal(Z, axis1=1, axis2=2))
-        bad = np.any(c <= 0, axis=1)
-        if bad.any():
-            fail(int(np.argmax(bad)), "zero-power source row")
+        c = np.sqrt(Z.diagonal(axis1=1, axis2=2))
+        check_positive(c, "zero-power source row")
     cc = c[:, :, None] * c[:, None, :]
     D = Z / cc
     try:
@@ -103,29 +111,33 @@ def _stack_terms(S: np.ndarray, Z: np.ndarray, pk: KotzParams, c: Optional[np.nd
     else:
         np.matmul(Dinv, S, out=U)
         np.einsum("kin,kin->kn", S, U, out=z)
-    bad = np.any(z <= 0, axis=1)
-    if bad.any():
-        fail(int(np.argmax(bad)), "nonpositive quadratic form")
-    jc = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    check_positive(z, "nonpositive quadratic form")
+    jc = 2.0 * np.log(L.diagonal(axis1=1, axis2=2)).sum(axis=1)
     # eta = 1 makes J_F exactly 0 (as in model.kotz_log_pdf)
     jf = np.zeros(n) if pk.eta == 1.0 else (pk.eta - 1.0) / N * np.log(z, out=w).sum(axis=1)
     zb = np.sqrt(z, out=w) if pk.beta == 0.5 else np.power(z, pk.beta, out=w)
     je = pk.lamb / N * zb.sum(axis=1)
-    if not gradient:
-        return jc, jf, je, None
-    # at fixed D: dJ/dy_n = t_n D^-1 y_n with t_n in w, written over U
-    w *= 2.0 * pk.beta * pk.lamb
-    w += 2.0 * (1.0 - pk.eta)
-    z *= N
-    w /= z
-    U *= w[:, None, :]
-    # Q = dJ/dD = 0.5 (D^-1 - U (D^-1 S)^T), and U (D^-1 S)^T = (U S^T) D^-1
-    Q = 0.5 * (Dinv - (U @ S.transpose(0, 2, 1)) @ Dinv)
-    QZ = 2.0 * Q / cc
-    if controlled:
-        # c = sqrt(diag Z) moves with S too
-        QZ[:, np.arange(d), np.arange(d)] -= 2.0 * np.sum(Q * D, axis=2) / c ** 2
-    return jc, jf, je, QZ
+
+    def qz():
+        nonlocal U, z, w  # the in-place updates below rebind these names
+        # at fixed D: dJ/dy_n = t_n D^-1 y_n with t_n in w, written over U;
+        # w holds z^beta, and Laplace's factor 1 and addend 0 are skipped
+        if 2.0 * pk.beta * pk.lamb != 1.0:
+            w *= 2.0 * pk.beta * pk.lamb
+        if pk.eta != 1.0:
+            w += 2.0 * (1.0 - pk.eta)
+        z *= N
+        w /= z
+        U *= w[:, None, :]
+        # Q = dJ/dD = 0.5 (D^-1 - U (D^-1 S)^T), and U (D^-1 S)^T = (U S^T) D^-1
+        Q = 0.5 * (Dinv - (U @ S.transpose(0, 2, 1)) @ Dinv)
+        QZ = 2.0 * Q / cc
+        if controlled:
+            # c = sqrt(diag Z) moves with S too
+            QZ[:, np.arange(d), np.arange(d)] -= 2.0 * np.sum(Q * D, axis=2) / c ** 2
+        return QZ
+
+    return jc, jf, je, qz
 
 
 def shares(Y: np.ndarray):
@@ -141,7 +153,7 @@ def shares(Y: np.ndarray):
     def share(rows: Tuple[int, ...]) -> float:
         r, d = list(rows), len(rows)
         pk = kotz_from_psi(PSI_LAPLACE, d)
-        jc, jf, je, _ = _stack_terms(Y[r][None], YY[np.ix_(r, r)][None], pk,
+        jc, jf, je, _ = _stack_terms(Y.take(r, 0)[None], YY.take(r, 0).take(r, 1)[None], pk,
                                      np.full((1, d), np.sqrt((N - 1) * pk.alpha)), None, False,
                                      np.empty((1, d, N)), np.empty((1, N)), np.empty((1, N)))
         return float((0.5 * jc - jf + je - pk.log_norm_const)[0])
@@ -165,8 +177,8 @@ class ObjectiveContext:
     The sources are written straight into S, one product W_m[rows] X_m per
     run of consecutive members whose slot p lies in one dataset, or one
     product in all when every slot is a source of one dataset. evaluate
-    overwrites the scratch on every call and returns nothing that aliases
-    it, so a context is not shared across threads.
+    overwrites the scratch, which the gradient continuation it returns reads,
+    so a context is not shared across threads.
     """
 
     def __init__(self, data: MultiDataset, assignment: SubspaceAssignment,
@@ -201,6 +213,7 @@ class ObjectiveContext:
         # U holds D^-1 S, then dJ/dS at fixed dispersion
         self.S, self.U = np.zeros((K, d, N)), np.empty((K, d, N))
         self.z, self.w = np.empty((K, N)), np.empty((K, N))
+        self.latest = None  # a token of the latest evaluate call
         # (dataset m, W_m rows, view of S they produce, view of it in U)
         datasets = np.where(real, np.searchsorted(off, self.cols, side="right") - 1, -1)
         if np.all(datasets == datasets[0, 0]):
@@ -221,11 +234,14 @@ def _runs(labels: np.ndarray):
     return [(int(labels[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def evaluate(ctx: ObjectiveContext, W: BlockTransform,
-             with_gradient: bool = False) -> ObjectiveReport:
-    """Objective value (and gradient on request) at the unmixing W."""
+def evaluate(ctx: ObjectiveContext, W: BlockTransform) -> ObjectiveReport:
+    """Objective value at the unmixing W, with the gradient continuation."""
+    token = ctx.latest = object()
     W.check_unmixing(ctx.data, ctx.assignment)
-    jd, pinv_t = zip(*(svd_terms(Wm) for Wm in W.blocks))
+    if len({Wm.shape for Wm in W.blocks}) == 1:
+        jd, pinv_t = svd_terms(np.stack(W.blocks))
+    else:
+        jd, pinv_t = zip(*map(svd_terms, W.blocks))
     X = ctx.data.blocks
     off = ctx.assignment.col_offsets
     M, YY, C = ctx.M, ctx.YY, off[-1]
@@ -235,10 +251,14 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
     for m, rows, S_view, _ in ctx.products:
         np.matmul(W.blocks[m][rows], X[m], out=S_view)
     cols = ctx.cols
-    jc, jf, je, QZ = _stack_terms(ctx.S, YY[cols[:, :, None], cols[:, None, :]], ctx.kotz[0],
-                                  ctx.c, ctx.real, True, ctx.U, ctx.z, ctx.w, with_gradient)
-    gradient = None
-    if with_gradient:
+    jc, jf, je, qz = _stack_terms(ctx.S, YY[cols[:, :, None], cols[:, None, :]], ctx.kotz[0],
+                                  ctx.c, ctx.real, True, ctx.U, ctx.z, ctx.w)
+
+    @functools.cache
+    def gradient() -> BlockTransform:
+        if ctx.latest is not token:
+            raise RuntimeError("stale gradient: the context has evaluated another W since")
+        QZ = qz()
         grads = [-Pm for Pm in pinv_t]
         for m, rows, _, G_view in ctx.products:
             grads[m][rows] += G_view @ X[m].T
@@ -247,7 +267,8 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform,
         H[cols] = QZ @ M[cols]
         for m, Rm in enumerate(ctx.R_blocks):
             grads[m] += H[off[m]:off[m + 1]] @ Rm
-        gradient = BlockTransform(grads)
+        return BlockTransform(grads)
+
     # the terms are summed in k order
     value = (-sum(jd) + 0.5 * sum(jc.tolist()) - ctx.f_constant - sum(jf.tolist())
              + sum(je.tolist()))

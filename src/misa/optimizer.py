@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -60,32 +60,35 @@ def random_row_orthonormal(C: int, V: int, rng: np.random.Generator) -> np.ndarr
     return U @ Vt
 
 
-def lbfgs_direction(g: np.ndarray, s_list: List[np.ndarray],
-                    y_list: List[np.ndarray]) -> np.ndarray:
-    """Two-loop recursion: H g with H the implicit inverse-Hessian estimate.
+def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion: H g with H the implicit inverse-Hessian estimate
+    from the (s, y, rho = 1 / y^T s) pairs, oldest first.
 
     Initial scaling uses the standard s^T y / y^T y diagonal from the most
     recent pair.
     """
     q = g.copy()
     alphas = []
-    rhos = [1.0 / (y @ s) for s, y in zip(s_list, y_list)]
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
+    for s, y, rho in reversed(pairs):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return q
 
 
-def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]],
+def minimize(fun: Callable[[BlockTransform], Tuple[float, Callable[[], BlockTransform]]],
              W0: BlockTransform, opts: Optional[OptimOptions] = None) -> Solution:
     """L-BFGS with an Armijo backtracking line search.
+
+    fun(W) returns the value at W and a function giving the gradient there.
+    That function is called, before the next call of fun, only at W0 and at
+    each accepted step that does not end the run. n_evals counts fun calls.
 
     Each search first tries the step a = 1 (on the first iteration, the
     shorter step that moves an entry by typical_x on average) and halves it
@@ -109,19 +112,20 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
 
     evals = [0]
 
-    def fg(x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def value(x: np.ndarray) -> Tuple[float, Callable[[], np.ndarray]]:
         evals[0] += 1
-        f, G = f_and_grad(blocks(x))
-        return float(f), vec(G)
+        f, grad = fun(blocks(x))
+        return float(f), lambda: vec(grad())
 
     x = vec(W0)
-    f, g = fg(x)
-    pairs = deque(maxlen=opts.lbfgs_memory)  # the latest (s, y), oldest first
+    f, grad = value(x)
+    g = grad()
+    pairs = deque(maxlen=opts.lbfgs_memory)  # the latest (s, y, rho), oldest first
     status = Status.MAX_ITER
     n_iter = 0
 
     for n_iter in range(1, opts.max_iters + 1):
-        d = -lbfgs_direction(g, [s for s, _ in pairs], [y for _, y in pairs])
+        d = -lbfgs_direction(g, pairs)
         if g @ d >= 0:
             d = -g
         g0d = float(g @ d)
@@ -136,7 +140,7 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
         for _ in range(min(MAX_HALVINGS, opts.max_fun_evals - evals[0])):
             x_new = x + a * d
             try:
-                f_new, g_new = fg(x_new)
+                f_new, grad = value(x_new)
             except (RankError, DefinitenessError):
                 # undefined at the trial point: f = +inf, so the step halves
                 f_new = np.inf
@@ -149,12 +153,9 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
             break
 
         s = x_new - x
-        y = g_new - g
         df = abs(f - f_new)
         dx = float(np.max(np.abs(s))) if s.size else 0.0
-        if y @ s > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y))
-        x, f, g = x_new, f_new, g_new
+        x, f = x_new, f_new
         if df < opts.tol_fun * (1.0 + abs(f_new)):
             status = Status.CONVERGED_FUN
             break
@@ -164,6 +165,10 @@ def minimize(f_and_grad: Callable[[BlockTransform], Tuple[float, BlockTransform]
         if evals[0] >= opts.max_fun_evals:
             status = Status.MAX_EVAL
             break
+        g_old, g = g, grad()
+        y = g - g_old
+        if y @ s > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / (y @ s)))
 
     return Solution(W_final=blocks(x), objective_value=f, status=status,
                     n_iters=n_iter, n_evals=evals[0])

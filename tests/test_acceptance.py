@@ -65,9 +65,10 @@ def test_criterion_01_gradient_audit():
         X, P, W = random_instance(rng, M=M, N=500)
         for mode in DispersionChoice:
             ctx = ObjectiveContext(X, P, dispersion=mode)
-            rep = evaluate(ctx, W, with_gradient=True)
+            # read before the differences re-evaluate the same context
+            G = evaluate(ctx, W).gradient()
             num = fd_gradient(lambda Wt: evaluate(ctx, Wt).value, W, step=1e-5)
-            worst[mode] = max(worst[mode], max_rel_error(rep.gradient, num))
+            worst[mode] = max(worst[mode], max_rel_error(G, num))
     elapsed = time.perf_counter() - t0
     assert all(v < 1e-5 for v in worst.values()), worst
     assert elapsed < 30.0

@@ -130,9 +130,10 @@ class TestGradients:
             M = int(rng.integers(1, 4))
             X, P, W = small_instance(rng, M=M)
             ctx = ObjectiveContext(X, P, dispersion=mode)
-            rep = evaluate(ctx, W, with_gradient=True)
+            # read before the differences re-evaluate the same context
+            G = evaluate(ctx, W).gradient()
             num = fd_gradient(lambda Wt: evaluate(ctx, Wt).value, W, step=1e-5)
-            assert max_rel_error(rep.gradient, num) < 1e-5
+            assert max_rel_error(G, num) < 1e-5
 
     @pytest.mark.parametrize("mode", list(DispersionChoice))
     def test_general_kotz_directional_derivative(self, mode):
@@ -144,7 +145,7 @@ class TestGradients:
         for _ in range(5):
             X, P, W = random_instance(rng, M=int(rng.integers(1, 4)), N=500)
             ctx = ObjectiveContext(X, P, dispersion=mode, psi=PSI_GENERAL)
-            G = evaluate(ctx, W, with_gradient=True).gradient
+            G = evaluate(ctx, W).gradient()
             for _ in range(3):
                 E = [rng.standard_normal(Wm.shape) for Wm in W.blocks]
                 E = [Em / np.sqrt(sum(np.sum(e * e) for e in E)) for Em in E]
@@ -169,8 +170,8 @@ class TestGradients:
         X = MultiDataset([np.sqrt(2.0) * rows])
         P = SubspaceAssignment.singletons([2])
         ctx = ObjectiveContext(X, P, dispersion=DispersionChoice.SCALE_CONTROLLED)
-        rep = evaluate(ctx, BlockTransform([np.eye(2)]), with_gradient=True)
-        norm = np.linalg.norm(rep.gradient.blocks[0])
+        rep = evaluate(ctx, BlockTransform([np.eye(2)]))
+        norm = np.linalg.norm(rep.gradient().blocks[0])
         assert norm < 0.05
 
 
@@ -238,10 +239,10 @@ class TestBatchedKernel:
         rng = np.random.default_rng(20 + M)
         X, P, W = repeated_dims_instance(rng, M)
         ctx = ObjectiveContext(X, P, dispersion=mode, psi=psi)
-        rep = evaluate(ctx, W, with_gradient=True)
+        rep = evaluate(ctx, W)
         value, grads = reference_evaluate(ctx, W)
         assert abs(rep.value - value) <= 1e-12 * abs(value)
-        for G, G_ref in zip(rep.gradient.blocks, grads):
+        for G, G_ref in zip(rep.gradient().blocks, grads):
             assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
         assert evaluate(ctx, W).value == rep.value
 
@@ -260,7 +261,7 @@ class TestBatchedKernel:
                                    dispersion=DispersionChoice.SCALE_CONTROLLED)
             assert ctx.S.shape[:2] == (3, max(P.subspace_dims))
             with pytest.raises(DefinitenessError, match="subspace 2: zero-power source row"):
-                evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
+                evaluate(ctx, BlockTransform([Wm]))
 
     @pytest.mark.parametrize("mode", list(DispersionChoice))
     def test_singular_dispersion_in_stack_takes_jitter(self, mode):
@@ -277,10 +278,10 @@ class TestBatchedKernel:
         D = Y[3:] @ Y[3:].T
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(D / D[0, 0])
-        rep = evaluate(ctx, BlockTransform([Wm]), with_gradient=True)
+        rep = evaluate(ctx, BlockTransform([Wm]))
         value, _ = reference_evaluate(ctx, BlockTransform([Wm]))
         assert np.isfinite(rep.value)
-        assert all(np.all(np.isfinite(G)) for G in rep.gradient.blocks)
+        assert all(np.all(np.isfinite(G)) for G in rep.gradient().blocks)
         # the jittered dispersion has condition number ~1e12, so the two
         # inverses differ by rounding magnified to ~1e-5 relative
         assert rep.value == pytest.approx(value, rel=1e-4)
@@ -316,8 +317,9 @@ class TestBatchedKernel:
                 a = np.array([kotz_from_psi(PSI_GENERAL, len(Y)).alpha for Y in Ys])
                 c = np.where(pads, 1.0, np.sqrt((N - 1) * a)[:, None])
             U = np.empty_like(S)
-            jc, jf, je, QZ = _stack_terms(S, Z, kotz_from_psi(PSI_GENERAL, d), c, real, True,
-                                          U, np.empty((n, N)), np.empty((n, N)), gradient=True)
+            jc, jf, je, qz = _stack_terms(S, Z, kotz_from_psi(PSI_GENERAL, d), c, real, True,
+                                          U, np.empty((n, N)), np.empty((n, N)))
+            QZ = qz()
             return jc, jf, je, U + QZ @ S
 
         padded = terms(members, np.arange(4) < dims[:, None])
@@ -369,10 +371,10 @@ class TestBatchedKernel:
         W = BlockTransform([(np.eye(C) + 0.01 * rng.standard_normal((C, C))) @ np.linalg.inv(Am)
                             for C, Am in zip(P.col_dims, A)])
         ctx = ObjectiveContext(X, P, dispersion=mode)
-        rep = evaluate(ctx, W, with_gradient=True)
+        rep = evaluate(ctx, W)
         value, grads = reference_evaluate(ctx, W)
         assert abs(rep.value - value) <= 1e-10 * abs(value)
-        for G, G_ref in zip(rep.gradient.blocks, grads):
+        for G, G_ref in zip(rep.gradient().blocks, grads):
             assert np.max(np.abs(G - G_ref)) <= 1e-10 * np.max(np.abs(G_ref))
 
 
@@ -391,25 +393,53 @@ class TestBuffers:
         big = [a for a in vars(ctx).values()
                if isinstance(a, np.ndarray) and a.ndim == 3 and a.shape[-1] == N]
         assert [a.shape for a in big] == [(P.n_subspaces, 5, N)] * 2
-        evaluate(ctx, W, with_gradient=True)
+        evaluate(ctx, W).gradient()
         pads = np.arange(5) >= P.subspace_dims[:, None]
         assert pads.sum() == 5 * P.n_subspaces - P.n_sources
         assert np.all(ctx.S[pads] == 0)
 
     def test_reuse_matches_fresh_and_does_not_alias(self):
+        # each gradient is read right away, before the next evaluate
         rng = np.random.default_rng(8)
         X, P, W1 = repeated_dims_instance(rng, 3)
         _, _, W2 = repeated_dims_instance(rng, 3)
         ctx = ObjectiveContext(X, P)
-        reports = [evaluate(ctx, W, with_gradient=True) for W in (W1, W2, W1)]
-        first = [G.copy() for G in reports[0].gradient.blocks]
-        for rep, W in zip(reports, (W1, W2, W1)):
-            fresh = evaluate(ObjectiveContext(X, P), W, with_gradient=True)
-            assert rep.value == fresh.value
-            for G, G_fresh in zip(rep.gradient.blocks, fresh.gradient.blocks):
-                assert np.array_equal(G, G_fresh)
-        for G, G0 in zip(reports[0].gradient.blocks, first):
+        reports = [(rep.value, rep.gradient()) for rep in
+                   (evaluate(ctx, W) for W in (W1, W2, W1))]
+        first = [G.copy() for G in reports[0][1].blocks]
+        for (value, G), W in zip(reports, (W1, W2, W1)):
+            fresh = evaluate(ObjectiveContext(X, P), W)
+            assert value == fresh.value
+            for Gm, G_fresh in zip(G.blocks, fresh.gradient().blocks):
+                assert np.array_equal(Gm, G_fresh)
+        for G, G0 in zip(reports[0][1].blocks, first):
             assert np.array_equal(G, G0)
+
+    @pytest.mark.parametrize("mode", list(DispersionChoice))
+    def test_continuation_reads_only_its_own_evaluate(self, mode):
+        rng = np.random.default_rng(9)
+        X, P, W1 = repeated_dims_instance(rng, 2)
+        _, _, W2 = repeated_dims_instance(rng, 2)
+        ctx = ObjectiveContext(X, P, dispersion=mode)
+        rep = evaluate(ctx, W1)
+        evaluate(ctx, W2)
+        with pytest.raises(RuntimeError, match="stale gradient"):
+            rep.gradient()
+        # an evaluate that raises has overwritten part of the scratch too
+        rep = evaluate(ctx, W1)
+        with pytest.raises(RankError):
+            evaluate(ctx, BlockTransform([np.zeros_like(Wm) for Wm in W1.blocks]))
+        with pytest.raises(RuntimeError, match="stale gradient"):
+            rep.gradient()
+        # read right away, it is the reference gradient, and a later read
+        # returns the gradient already read
+        rep = evaluate(ctx, W1)
+        G = rep.gradient()
+        _, grads = reference_evaluate(ctx, W1)
+        for Gm, G_ref in zip(G.blocks, grads):
+            assert np.max(np.abs(Gm - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+        evaluate(ctx, W2)
+        assert rep.gradient() is G
 
 
 class TestValueFromSources:

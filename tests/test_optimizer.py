@@ -8,6 +8,7 @@ from misa import (
     DefinitenessError,
     DomainError,
     OptimOptions,
+    RankError,
     Status,
     minimize,
 )
@@ -23,7 +24,7 @@ def quadratic(center):
 
     def fg(W):
         w = W.blocks[0].ravel()
-        return 0.5 * float((w - center) @ (w - center)), vec(w - center)
+        return 0.5 * float((w - center) @ (w - center)), lambda: vec(w - center)
 
     return fg
 
@@ -31,7 +32,26 @@ def quadratic(center):
 def rosenbrock(W):
     x, y = W.blocks[0].ravel()
     f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-    return f, vec([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+    return f, lambda: vec([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+
+def counting(fg):
+    """fg, and the record of its calls: calls["f"] counts the value calls
+    and calls["g"] lists, per gradient call, the number of value calls made
+    before it."""
+    calls = {"f": 0, "g": []}
+
+    def wrapped(W):
+        calls["f"] += 1
+        f, grad = fg(W)
+
+        def counted():
+            calls["g"].append(calls["f"])
+            return grad()
+
+        return f, counted
+
+    return wrapped, calls
 
 
 class TestMinimize:
@@ -64,8 +84,8 @@ class TestMinimize:
         assert np.array_equal(xs[-1].blocks[0], sol.W_final.blocks[0])
         its = []
         for W in xs:
-            f, G = fg(W)
-            its.append((W.blocks[0].ravel(), f, G.blocks[0].ravel()))
+            f, grad = fg(W)
+            its.append((W.blocks[0].ravel(), f, grad().blocks[0].ravel()))
         return sol, its
 
     def test_trace_steps_satisfy_armijo(self):
@@ -100,20 +120,27 @@ class TestMinimize:
     @staticmethod
     def uphill(w):
         # the "gradient" is the negated true one, so every direction ascends
-        return float(w @ w), vec(-2.0 * w)
+        return float(w @ w), lambda: vec(-2.0 * w)
 
     def test_uphill_gradient_fails_after_halvings(self):
-        calls = []
-
-        def fg(W):
-            calls.append(1)
-            return self.uphill(W.blocks[0].ravel())
-
+        fg, calls = counting(lambda W: self.uphill(W.blocks[0].ravel()))
         sol = minimize(fg, vec([1.0, -2.0]), OptimOptions())
         assert sol.status is Status.LINE_SEARCH_FAIL
-        assert sol.n_evals == len(calls) == 1 + MAX_HALVINGS
+        assert sol.n_evals == calls["f"] == 1 + MAX_HALVINGS
+        assert calls["g"] == [1]  # at W0 only: every trial was rejected
         assert sol.objective_value == 5.0  # no step was accepted
         assert np.array_equal(sol.W_final.blocks[0].ravel(), [1.0, -2.0])
+
+    def test_gradient_only_at_accepted_steps(self):
+        # each gradient call reads the value call just made, and the step
+        # that ends the run is not differentiated
+        fg, calls = counting(rosenbrock)
+        sol = minimize(fg, vec([-1.2, 1.0]), OptimOptions(tol_fun=1e-12))
+        assert sol.status is Status.CONVERGED_FUN
+        assert sol.n_evals == calls["f"] > len(calls["g"]) + 1  # some trial was rejected
+        assert len(calls["g"]) <= sol.n_iters
+        assert calls["g"] == sorted(set(calls["g"])) and calls["g"][0] == 1
+        assert calls["g"][-1] < calls["f"]
 
     def test_eval_cap_ends_search(self):
         sol = minimize(lambda W: self.uphill(W.blocks[0].ravel()), vec([1.0, -2.0]),
@@ -152,16 +179,16 @@ class TestMinimize:
 
 class TestUndefinedTrialPoint:
     @staticmethod
-    def huber_inside(radius, calls):
+    def huber_inside(radius, calls, error=DefinitenessError):
         # pseudo-Huber with its minimum at 1, undefined outside |w| <= radius;
         # its flat slope makes the secant steps overshoot
         def fg(W):
             w = W.blocks[0].ravel()
             calls.append(bool(np.any(np.abs(w) > radius)))
             if calls[-1]:
-                raise DefinitenessError("outside the radius")
+                raise error("outside the radius")
             r = np.sqrt(1.0 + (w - 1.0) ** 2)
-            return float(np.sum(r)), vec((w - 1.0) / r)
+            return float(np.sum(r)), lambda: vec((w - 1.0) / r)
 
         return fg
 
@@ -172,6 +199,15 @@ class TestUndefinedTrialPoint:
         assert any(calls)  # a trial point did raise
         assert sol.status is Status.CONVERGED_FUN
         assert np.allclose(sol.W_final.blocks[0], 1.0, atol=1e-4)
+
+    def test_raising_trial_requests_no_gradient(self):
+        raised = []
+        fg, calls = counting(self.huber_inside(4.0, raised, RankError))
+        sol = minimize(fg, vec([-3.0, 0.5]), OptimOptions(tol_fun=1e-12))
+        assert sol.status is Status.CONVERGED_FUN and any(raised)
+        # the k-th value call raised when raised[k - 1]; no gradient read one
+        assert not any(raised[k - 1] for k in calls["g"])
+        assert len(calls["g"]) <= sol.n_iters
 
     def test_error_at_start_propagates(self):
         with pytest.raises(DefinitenessError):
@@ -194,8 +230,8 @@ class TestTwoLoop:
             V = np.eye(n) - rho * np.outer(y, s)
             H = V.T @ H @ V + rho * np.outer(s, s)
 
-        np.testing.assert_allclose(lbfgs_direction(g, s_list, y_list), H @ g,
-                                   atol=1e-10)
+        pairs = [(s, y, 1.0 / (y @ s)) for s, y in zip(s_list, y_list)]
+        np.testing.assert_allclose(lbfgs_direction(g, pairs), H @ g, atol=1e-10)
 
 
 class TestOptions:
