@@ -26,7 +26,7 @@ from . import gradcheck
 from . import harness
 from . import metrics
 from .errors import ConfigError, MisaError, ParseError, ShapeError
-from .io import load_matrix, make_dir, read_json, save_matrix, write_json
+from .io import dumps_json, load_matrix, make_dir, read_json, save_matrix, write_json
 from .model import BlockTransform, MultiDataset, SubspaceAssignment
 
 
@@ -138,7 +138,7 @@ def cmd_experiment(args) -> int:
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     records, summary = harness.run_experiment(cfg)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(dumps_json(summary))
     return 0 if summary["good"] else 1
 
 
@@ -166,7 +166,7 @@ def cmd_score(args) -> int:
     if (root / "Y.misa").exists():
         Y_true = _load_shaped(root / "Y.misa", (P.n_sources, data.n_obs))
     out = harness.score_estimate(W, A, P, data, Y_true)
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(dumps_json(out))
     return 0 if out["misi"] < metrics.MISI_GOOD else 1
 
 

@@ -65,10 +65,24 @@ def read_json(path):
         raise _parse_error(path, e) from None
 
 
+def _null_nonfinite(value):
+    """value with each NaN or infinite float in it, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
+def dumps_json(value) -> str:
+    """value as JSON text, 2-space indented with sorted keys, the form of every
+    result; a non-finite float becomes null, as RFC 8259 has no NaN or Infinity."""
+    return json.dumps(_null_nonfinite(value), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, value) -> None:
-    """Write value as JSON with a 2-space indent, sorted keys and a final
-    newline, the byte form of every result file."""
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+    """Write dumps_json(value) and a final newline: the byte form of every result file."""
+    Path(path).write_text(dumps_json(value) + "\n")
 
 
 def make_dir(path) -> Path:

@@ -186,8 +186,8 @@ def _kotz_cached(psi: tuple, d: int) -> KotzParams:
 def kotz_log_pdf(y: np.ndarray, D: np.ndarray, params: KotzParams) -> float:
     """Log density of the Kotz distribution at y with dispersion D.
 
-    With eta = 1 the (eta-1)*ln(q) term is defined as 0 even at q = 0, so the
-    Gaussian and Laplace cases are singularity-free at the origin.
+    With eta = 1 the (eta-1)*ln(q) term is 0 even at q = 0, so the Gaussian and
+    Laplace cases are singularity-free at the origin; other etas take ln 0 = -inf.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -199,7 +199,7 @@ def kotz_log_pdf(y: np.ndarray, D: np.ndarray, params: KotzParams) -> float:
     q = float(u @ u)
     val = params.log_norm_const - 0.5 * logdet_from_chol(L) - params.lamb * q ** params.beta
     if params.eta != 1.0:
-        val += (params.eta - 1.0) * np.log(q)
+        val += (params.eta - 1.0) * (np.log(q) if q != 0.0 else -np.inf)
     return float(val)
 
 
@@ -347,17 +347,4 @@ class BlockTransform:
 
     def transform(self, data: MultiDataset) -> np.ndarray:
         """Stacked source estimates Y = blockdiag(W) X, shape C_bar x N."""
-        if data.n_datasets != self.n_datasets:
-            raise ShapeError("dataset count mismatch")
-        return np.vstack([W @ X for W, X in zip(self.blocks, data.blocks)])
-
-    def check_unmixing(self, data: MultiDataset, assignment: SubspaceAssignment) -> None:
-        if data.n_datasets != self.n_datasets:
-            raise ShapeError("dataset count mismatch")
-        for m, (W, V) in enumerate(zip(self.blocks, data.dims)):
-            if W.shape[1] != V:
-                raise ShapeError(f"block {m}: W has {W.shape[1]} columns, data has {V} rows")
-            if W.shape[0] > V:
-                raise ShapeError(f"block {m}: need V_m >= C_m, got C={W.shape[0]} V={V}")
-            if W.shape[0] != assignment.col_dims[m]:
-                raise ShapeError(f"block {m}: W rows do not match assignment source count")
+        return np.vstack([W @ X for W, X in zip(self.blocks, data.blocks, strict=True)])

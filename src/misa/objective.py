@@ -186,9 +186,12 @@ class ObjectiveContext:
                  psi: Sequence[float] = PSI_LAPLACE):
         if data.n_datasets != len(assignment.col_dims):
             raise ShapeError("assignment covers a different number of datasets")
+        self.shapes = list(zip(assignment.col_dims, data.dims))  # (C_m, V_m) of each W_m
+        for m, (C_m, V_m) in enumerate(self.shapes):
+            if C_m > V_m:
+                raise ShapeError(f"dataset {m}: needs V_m >= C_m, got C_m={C_m} V_m={V_m}")
         self.data = data
         self.assignment = assignment
-        self.dispersion = dispersion
         self.kotz = tuple(kotz_from_psi(psi, int(d)) for d in assignment.subspace_dims)
         self.f_constant = float(sum(p.log_norm_const for p in self.kotz))
         off = np.asarray(assignment.col_offsets)
@@ -236,9 +239,11 @@ def _runs(labels: np.ndarray):
 
 def evaluate(ctx: ObjectiveContext, W: BlockTransform) -> ObjectiveReport:
     """Objective value at the unmixing W, with the gradient continuation."""
+    shapes = [Wm.shape for Wm in W.blocks]
+    if shapes != ctx.shapes:
+        raise ShapeError(f"W has block shapes {shapes}, the problem needs {ctx.shapes}")
     token = ctx.latest = object()
-    W.check_unmixing(ctx.data, ctx.assignment)
-    if len({Wm.shape for Wm in W.blocks}) == 1:
+    if len(set(ctx.shapes)) == 1:
         jd, pinv_t = svd_terms(np.stack(W.blocks))
     else:
         jd, pinv_t = zip(*map(svd_terms, W.blocks))
@@ -288,6 +293,4 @@ def value_from_sources(Y: np.ndarray, assignment: SubspaceAssignment) -> float:
 
 def relative_gradient(grad: BlockTransform, W: BlockTransform) -> BlockTransform:
     """Per-block gradient preconditioning grad_m W_m^T W_m."""
-    if grad.n_datasets != W.n_datasets:
-        raise ShapeError("block count mismatch")
-    return BlockTransform([G @ Wm.T @ Wm for G, Wm in zip(grad.blocks, W.blocks)])
+    return BlockTransform([G @ Wm.T @ Wm for G, Wm in zip(grad.blocks, W.blocks, strict=True)])

@@ -101,11 +101,11 @@ def minimize(fun: Callable[[BlockTransform], Tuple[float, Callable[[], BlockTran
     a trial point counts as f = +inf there; at W0 it propagates.
     """
     opts = opts or OptimOptions()
-    shapes = [b.shape for b in W0.blocks]
-    cuts = np.cumsum([b.size for b in W0.blocks])[:-1]
+    stops = np.cumsum([b.size for b in W0.blocks]).tolist()
+    spans = [(a, b, Wm.shape) for a, b, Wm in zip([0, *stops], stops, W0.blocks)]
 
     def blocks(x: np.ndarray) -> BlockTransform:
-        return BlockTransform([p.reshape(s) for p, s in zip(np.split(x, cuts), shapes)])
+        return BlockTransform([x[a:b].reshape(shape) for a, b, shape in spans])
 
     def vec(W: BlockTransform) -> np.ndarray:
         return np.concatenate([b.ravel() for b in W.blocks])

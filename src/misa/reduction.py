@@ -37,18 +37,14 @@ def pre_value(W: BlockTransform, X: MultiDataset) -> float:
     Per dataset: mean squared norm of W^-(WX) - X over observations, divided
     by the mean squared data norm, so the value is scale-free.
     """
-    if W.n_datasets != X.n_datasets:
-        raise ShapeError("block count mismatch")
-    return float(np.mean([_block_pre(Wm, Xm) for Wm, Xm in zip(W.blocks, X.blocks)]))
+    return float(np.mean([_block_pre(*b) for b in zip(W.blocks, X.blocks, strict=True)]))
 
 
 def pre_gradient(W: BlockTransform, X: MultiDataset) -> BlockTransform:
     """Gradient of pre_value with respect to each W block."""
-    if W.n_datasets != X.n_datasets:
-        raise ShapeError("block count mismatch")
     M = W.n_datasets
     out = []
-    for Wm, Xm in zip(W.blocks, X.blocks):
+    for Wm, Xm in zip(W.blocks, X.blocks, strict=True):
         N = Xm.shape[1]
         Wp = svd_terms(Wm)[1].T
         Z = Wp @ (Wm @ Xm) - Xm

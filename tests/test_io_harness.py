@@ -500,15 +500,21 @@ class TestRunExperiment:
         assert summary["status_counts"] == {"Converged_fun": 2}
         assert summary["median_best_misi"] < 0.1
 
-    def test_numerical_failure_recorded(self, monkeypatch):
+    def test_numerical_failure_recorded(self, monkeypatch, tmp_path):
         def singular(*args):
             raise DefinitenessError("dispersion is not positive definite")
 
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
         monkeypatch.setattr(harness, "solve_instance", singular)
-        records, summary = run_experiment(smoke_config())
+        records, summary = run_experiment(smoke_config(str(tmp_path)))
         assert [r.status for r in records] == ["error:DefinitenessError"] * 4
         assert np.isnan(summary["median_best_misi"])
         assert summary["status_counts"] == {"error:DefinitenessError": 4}
+        # the undefined median is written as null, which strict parsers accept
+        written = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert written["median_best_misi"] is None
 
     def test_write_results_files(self, tmp_path):
         recs = [fake_record(0, 0, 0.01)]

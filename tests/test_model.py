@@ -156,13 +156,32 @@ class TestKotzLogPdf:
             ref = laplace.logpdf(y[0], scale=1.0 / np.sqrt(2.0))
             assert kotz_log_pdf(y, D, p) == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("psi", [PSI_GAUSS, PSI_LAPLACE])
+    # two general triples with eta > 1, whose density is 0 at the origin,
+    # where quad's middle node falls
+    @pytest.mark.parametrize("psi", [PSI_GAUSS, PSI_LAPLACE, (0.5, 1.0, 2.0), (1.0, 0.5, 1.5)])
     def test_integrates_to_one_d1(self, psi):
         p = kotz_from_psi(psi, 1)
         D = np.array([[1.0 / p.alpha]])
         total, _ = quad(lambda y: np.exp(kotz_log_pdf(np.array([y]), D, p)),
                         -30, 30, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_integrates_to_one_d1_eta_below_one(self):
+        # the density is infinite at the origin, so each half is integrated
+        # up to it, where quad takes no node
+        p = kotz_from_psi((0.5, 1.0, 0.75), 1)
+        D = np.array([[1.0 / p.alpha]])
+        halves = [quad(lambda y: np.exp(kotz_log_pdf(np.array([y]), D, p)), a, b, limit=200)[0]
+                  for a, b in ((-30, 0), (0, 30))]
+        assert sum(halves) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("eta, value", [(2.0, -np.inf), (0.75, np.inf)])
+    def test_general_eta_at_the_origin(self, eta, value):
+        # ln q = -inf at q = 0, taken without numpy's divide-by-zero warning
+        p = kotz_from_psi((0.5, 1.0, eta), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kotz_log_pdf(np.zeros(2), np.eye(2), p) == value
 
     @pytest.mark.parametrize("psi", [PSI_GAUSS, PSI_LAPLACE])
     def test_integrates_to_one_d2(self, psi):
@@ -324,9 +343,3 @@ class TestBlockTransform:
         Y = W.transform(data)
         assert Y.shape == (3, 4)
         np.testing.assert_allclose(Y[2], 2.0)
-
-    def test_unmixing_shape_check(self):
-        data = MultiDataset([np.ones((2, 4))])
-        sa = SubspaceAssignment.singletons([2])
-        with pytest.raises(ShapeError):
-            BlockTransform([np.eye(3)]).check_unmixing(data, sa)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from misa import (
     MultiDataset,
     ObjectiveContext,
     RankError,
+    ShapeError,
     SubspaceAssignment,
     evaluate,
     random_row_orthonormal,
@@ -56,7 +59,7 @@ def reference_evaluate(ctx, W):
     reference_subspace_terms."""
     Y = W.transform(ctx.data)
     N = Y.shape[1]
-    invariant = ctx.dispersion is DispersionChoice.SCALE_INVARIANT
+    invariant = ctx.c is not None
     sums = np.zeros(3)
     G_Y = np.zeros_like(Y)
     for k, pk in enumerate(ctx.kotz):
@@ -263,6 +266,21 @@ class TestBatchedKernel:
             with pytest.raises(DefinitenessError, match="subspace 2: zero-power source row"):
                 evaluate(ctx, BlockTransform([Wm]))
 
+    @pytest.mark.parametrize("mode, message", [
+        (DispersionChoice.SCALE_INVARIANT, "dispersion is not positive definite"),
+        (DispersionChoice.SCALE_CONTROLLED, "zero-power source row")])
+    def test_failed_jitter_retry_names_its_subspace(self, mode, message):
+        # subspace 1 reads the all-zero data row alone: its 1 x 1 dispersion
+        # is 0, so is the jitter scaled by its trace, and the retry fails.
+        # The controlled dispersion divides by the row's power, so it stops
+        # before the factorization
+        Xm = np.random.default_rng(6).laplace(size=(3, 300))
+        Xm[1] = 0.0
+        ctx = ObjectiveContext(MultiDataset([Xm]), SubspaceAssignment.singletons([3]),
+                               dispersion=mode)
+        with pytest.raises(DefinitenessError, match=f"^subspace 1: {message}$"):
+            evaluate(ctx, BlockTransform([np.eye(3)]))
+
     @pytest.mark.parametrize("mode", list(DispersionChoice))
     def test_singular_dispersion_in_stack_takes_jitter(self, mode):
         # the two sources of subspace 2 are the same data row, so its
@@ -376,6 +394,34 @@ class TestBatchedKernel:
         assert abs(rep.value - value) <= 1e-10 * abs(value)
         for G, G_ref in zip(rep.gradient().blocks, grads):
             assert np.max(np.abs(G - G_ref)) <= 1e-10 * np.max(np.abs(G_ref))
+
+
+class TestShapeContract:
+    """The context fixes the shape (C_m, V_m) of each W_m once, rejecting
+    C_m > V_m, and evaluate checks a W against those shapes."""
+
+    @pytest.mark.parametrize("V_1, given, message", [
+        pytest.param(4, [(4, 4)], "W has block shapes [(4, 4)], the problem needs "
+                     "[(4, 4), (4, 4)]", id="block-count"),
+        pytest.param(4, [(4, 4), (4, 5)], "W has block shapes [(4, 4), (4, 5)], the problem "
+                     "needs [(4, 4), (4, 4)]", id="columns"),
+        pytest.param(4, [(3, 4), (4, 4)], "W has block shapes [(3, 4), (4, 4)], the problem "
+                     "needs [(4, 4), (4, 4)]", id="rows"),
+        pytest.param(3, None, "dataset 1: needs V_m >= C_m, got C_m=4 V_m=3",
+                     id="sources-exceed-rows")])
+    def test_shape_errors(self, V_1, given, message):
+        rng = np.random.default_rng(10)
+        X = MultiDataset([rng.laplace(size=(4, 200)), rng.laplace(size=(V_1, 200))])
+        P = SubspaceAssignment.from_dataset_dims(np.array([[1, 1], [2, 2], [1, 1]]))
+        if given is None:
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                ObjectiveContext(X, P)
+            return
+        ctx = ObjectiveContext(X, P)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            evaluate(ctx, BlockTransform([np.eye(*shape) for shape in given]))
+        # the context takes a W of the shapes it names
+        assert np.isfinite(evaluate(ctx, BlockTransform([np.eye(4), np.eye(4)])).value)
 
 
 class TestBuffers:

@@ -142,6 +142,33 @@ class TestMinimize:
         assert calls["g"] == sorted(set(calls["g"])) and calls["g"][0] == 1
         assert calls["g"][-1] < calls["f"]
 
+    def test_zero_gradient_at_start_converges_x(self):
+        # at the minimum the direction is 0, so no trial point is evaluated
+        fg, calls = counting(quadratic([1.0, -2.0]))
+        sol = minimize(fg, vec([1.0, -2.0]), OptimOptions())
+        assert sol.status is Status.CONVERGED_X
+        assert (sol.n_iters, sol.n_evals, calls["f"], calls["g"]) == (1, 1, 1, [1])
+        assert sol.objective_value == 0.0
+
+    def test_step_below_tol_x_converges_x(self):
+        # every step is below tol_x = 10, and the first accepted one still
+        # lowers f by more than tol_fun, so the step test ends the run
+        fg, calls = counting(quadratic([1.0, -2.0, 3.0]))
+        sol = minimize(fg, vec([0.0, 0.0, 0.0]), OptimOptions(tol_x=10.0))
+        assert sol.status is Status.CONVERGED_X
+        assert sol.n_iters == 1 and calls["g"] == [1]
+        assert sol.objective_value < 7.0  # f(W0) = 7
+
+    def test_eval_cap_after_accepted_step(self):
+        # the first trial is accepted and uses up max_fun_evals = 2, so the
+        # run ends MaxEval without the gradient at the new point
+        fg, calls = counting(quadratic([1.0, -2.0, 3.0]))
+        sol = minimize(fg, vec([0.0, 0.0, 0.0]),
+                       OptimOptions(max_fun_evals=2, tol_fun=1e-300, tol_x=1e-300))
+        assert sol.status is Status.MAX_EVAL
+        assert sol.n_iters == 1 and sol.n_evals == calls["f"] == 2 and calls["g"] == [1]
+        assert sol.objective_value < 7.0
+
     def test_eval_cap_ends_search(self):
         sol = minimize(lambda W: self.uphill(W.blocks[0].ravel()), vec([1.0, -2.0]),
                        OptimOptions(max_fun_evals=5))
