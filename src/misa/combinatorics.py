@@ -22,8 +22,8 @@ from . import optimizer as opt
 
 TIE_EPS = math.sqrt(np.finfo(float).eps)  # ~1.49e-8, ignore tiny improvements
 EXHAUSTIVE_PERM_LIMIT = 10_000
-# misa_gp_mdm's start solves (the first solve and the singleton refinements)
-# stop at this tol_fun, or at the caller's when that is looser
+# at T >= 1, misa_gp_mdm's start solves (the first solve and the singleton
+# refinements) stop at this tol_fun, or at the caller's when that is looser
 START_TOL_FUN = 1e-5
 
 
@@ -247,30 +247,31 @@ def _tied(v: float, ref: float) -> bool:
 
 
 def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
-                W0: BlockTransform, T: int = 2,
+                W0: BlockTransform, T: int,
+                dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED,
                 opts: Optional[opt.OptimOptions] = None) -> opt.Solution:
-    """MISA-GP driver for any number of datasets M, M = 1 included:
-    per-dataset unidimensional refinement + greedy reassignment + matching,
-    cross-dataset subspace realignment, then joint re-optimization; best
-    stored candidate wins. Every candidate (the first solve and each round's
-    joint solve) minimizes the same objective over P_ud, so candidates are
-    compared by the objective_value of their solves: a later one displaces
-    the kept one only when lower and not tied with it. The loop stops after
-    a round t >= 2 whose value ties round t - 1's. The returned solve
+    """MISA-GP driver for any number of datasets M, M = 1 included, and the
+    one solve of every run: T rounds of per-dataset unidimensional refinement
+    + greedy reassignment + matching, cross-dataset realignment and joint
+    re-optimization, each solve a run_misa with the given dispersion; T = 0
+    is plain MISA. Every candidate (the first solve and each round's joint
+    solve) minimizes the same objective over P_ud, so candidates are
+    compared by objective_value: a later one displaces the kept one only
+    when lower and not tied with it. The loop stops after a round t >= 2
+    whose value ties round t - 1's. The returned solve, the best candidate,
     reports n_iters and n_evals summed over every solve the driver ran.
 
-    Only the joint solves run at opts.tol_fun. The first solve (a candidate,
-    though rarely the one kept) and the singleton refinements mostly start
-    later solves, so they stop at max(opts.tol_fun, START_TOL_FUN). The
-    result is therefore not guaranteed to be at or below the value of a
-    plain run_misa from W0 at a tighter tol_fun.
+    At T = 0 the one solve runs at opts.tol_fun; at T >= 1 only the joint
+    solves do. The first solve and the singleton refinements mostly start
+    later solves, so they stop at max(opts.tol_fun, START_TOL_FUN), and the
+    result may end above a plain run_misa from W0 at a tighter tol_fun.
     """
     opts = opts or opt.OptimOptions()
-    start_opts = replace(opts, tol_fun=max(opts.tol_fun, START_TOL_FUN))
+    start_opts = replace(opts, tol_fun=max(opts.tol_fun, START_TOL_FUN)) if T else opts
     solves = []
 
     def solve(data_, P_, W_, opts_):
-        solves.append(run_misa(data_, P_, W_, opts=opts_))
+        solves.append(run_misa(data_, P_, W_, dispersion=dispersion, opts=opts_))
         return solves[-1]
 
     best = prev = solve(data, P_ud, W0, start_opts)

@@ -23,14 +23,13 @@ from .io import make_dir, read_json, write_json
 from .model import BlockTransform, DispersionChoice, MultiDataset, SubspaceAssignment
 from .simgen import SimSpec, build_instance
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class ExperimentConfig:
     experiment: str = "custom"
     sim: SimSpec
     reduce: str = "none"
-    solver: str = "misa"
     dispersion: DispersionChoice = DispersionChoice.SCALE_CONTROLLED
-    T: int = 2
+    T: int = 0
     optim: opt.OptimOptions = field(default_factory=opt.OptimOptions)
     instances: int = 1
     replicates: int = 1
@@ -41,12 +40,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_ranges(self, (("reduce", lambda v: v in ("none", "pre", "gpca"),
                              "none, pre or gpca"),
-                            ("solver", lambda v: v in ("misa", "misa-gp"), "misa or misa-gp"),
                             ("instances replicates threads", lambda v: v >= 1, ">= 1"),
                             ("T seed", lambda v: v >= 0, ">= 0")), ConfigError)
-        if self.solver == "misa-gp" and self.dispersion != DispersionChoice.SCALE_CONTROLLED:
-            raise ConfigError("dispersion applies to solver 'misa' only; "
-                              "misa-gp always uses the controlled dispersion")
         # every replicate is scored by MISI, whose normalization needs K >= 2
         if len(self.sim.subspace_dims) < 2:
             raise ConfigError("sim.subspace_dims needs at least 2 subspaces (rows), "
@@ -126,11 +121,11 @@ _PRESETS = {
               "snr_db": 15.0, "rho_max": 0.7, "family": "copula"},
              {"reduce": "pre"}),
     "isa1": ({"subspace_dims": [[4]] * 4, "dims_v": [16], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
     "isa2": ({"subspace_dims": [[1], [2], [3], [4], [5]], "dims_v": [15], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
     "isa3": ({"subspace_dims": [[2, 1], [2, 1], [1, 3]], "dims_v": [5, 5], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
 }
 
 
@@ -227,16 +222,14 @@ def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
 def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
                    P: SubspaceAssignment, B: Optional[BlockTransform],
                    seed: int):
-    """Run cfg.solver from a random row-orthonormal W0 drawn from seed;
-    returns (sol, W_total) with W_total = W B mapping the unreduced data."""
+    """Run misa_gp_mdm for cfg.T rounds (0: one plain descent) from a random
+    row-orthonormal W0 drawn from seed; returns (sol, W_total) with
+    W_total = W B mapping the unreduced data."""
     rng = np.random.default_rng(seed)
     W0 = BlockTransform([opt.random_row_orthonormal(P.col_dims[m], Vm, rng)
                          for m, Vm in enumerate(work_data.dims)])
-    if cfg.solver == "misa":
-        sol = comb.run_misa(work_data, P, W0, dispersion=cfg.dispersion,
-                            opts=cfg.optim)
-    else:
-        sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, opts=cfg.optim)
+    sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, dispersion=cfg.dispersion,
+                           opts=cfg.optim)
     if B is None:
         return sol, sol.W_final
     return sol, BlockTransform([Wm @ Bm for Wm, Bm in zip(sol.W_final.blocks, B.blocks)])

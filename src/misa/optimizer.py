@@ -29,7 +29,7 @@ class Status(Enum):
     LINE_SEARCH_FAIL = "LineSearchFail"
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimOptions:
     typical_x: float = 0.1
     max_fun_evals: int = 50000

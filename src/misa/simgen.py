@@ -141,7 +141,7 @@ def sample_copula_sources(C: int, N: int, R_joint: np.ndarray,
     return X
 
 
-@dataclass
+@dataclass(slots=True)
 class SimSpec:
     """Specification for one synthetic instance.
 
@@ -149,7 +149,8 @@ class SimSpec:
     dataset m; per-dataset source counts C_m are its column sums. cond_target
     and rho_max may be scalars or per-dataset / per-subspace sequences.
     snr_db = inf means noiseless. A generator parameter out of its range
-    raises a DomainError naming the field.
+    raises a DomainError naming the field; a one-source dataset's V x 1
+    mixing has condition number 1, so its cond_target must be 1.
     """
 
     subspace_dims: np.ndarray
@@ -189,6 +190,10 @@ class SimSpec:
             if not np.isscalar(value) and len(value) != count:
                 raise ShapeError(f"{name} needs one entry per {per} ({count}), "
                                  f"got {len(value)}")
+        conds = np.broadcast_to(np.asarray(self.cond_target, dtype=float), M)
+        for m in np.flatnonzero((c_m == 1) & (conds != 1.0)):
+            raise DomainError(f"cond_target must be 1 for dataset {m}, which has one "
+                              f"source (a V x 1 mixing), got {conds[m]}")
 
 
 @dataclass

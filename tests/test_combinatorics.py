@@ -7,6 +7,9 @@ import pytest
 
 from misa import (
     BlockTransform,
+    DispersionChoice,
+    DomainError,
+    MultiDataset,
     OptimOptions,
     ShapeError,
     SimSpec,
@@ -327,14 +330,36 @@ def from_partition(groups):
 
 class TestDrivers:
     def test_mdm_t0_equals_plain(self):
-        # one dataset: T = 0 is the plain solve at the start tolerance
+        # one dataset: T = 0 is the plain solve at the caller's tolerance
         data, truth, P = isa_instance()
         rng = np.random.default_rng(0)
         W0 = BlockTransform([random_row_orthonormal(4, 4, rng)])
-        sol_plain = run_misa(data, P, W0, opts=replace(OPTS, tol_fun=START_TOL_FUN))
+        sol_plain = run_misa(data, P, W0, opts=OPTS)
         sol_t0 = misa_gp_mdm(data, P, W0, T=0, opts=OPTS)
         np.testing.assert_array_equal(sol_t0.W_final.blocks[0],
                                       sol_plain.W_final.blocks[0])
+        assert ((sol_t0.n_iters, sol_t0.n_evals, sol_t0.status, sol_t0.objective_value)
+                == (sol_plain.n_iters, sol_plain.n_evals, sol_plain.status,
+                    sol_plain.objective_value))
+
+    def test_mdm_dispersion_reaches_every_solve(self, monkeypatch):
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 5)
+        W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
+                             for _ in range(2)])
+        seen = []
+
+        def recording(*args, **kw):
+            seen.append(kw["dispersion"])
+            return run_misa(*args, **kw)
+
+        monkeypatch.setattr(combinatorics, "run_misa", recording)
+        invariant = DispersionChoice.SCALE_INVARIANT
+        sol = misa_gp_mdm(data, P, W0, T=2, dispersion=invariant, opts=OPTS)
+        assert len(seen) >= 4 and set(seen) == {invariant}  # first solve + one round
+        ctx = ObjectiveContext(data, P, dispersion=invariant)
+        assert sol.objective_value == evaluate(ctx, sol.W_final).value
 
     def test_mdm_near_or_below_plain(self):
         # the first candidate stops at START_TOL_FUN, so the driver may end a
@@ -656,3 +681,20 @@ class TestSubspacePermMatchesReference:
         assert math.factorial(8) ** 3 > combinatorics.EXHAUSTIVE_PERM_LIMIT
         out = self.assert_bit_equal(data, P, W)
         assert any(not np.array_equal(a, b) for a, b in zip(out.blocks, W.blocks))
+
+
+def two_datasets():
+    rng = np.random.default_rng(0)
+    return MultiDataset([rng.standard_normal((2, 50)) for _ in range(2)])
+
+
+@pytest.mark.parametrize("call, error, phrase", [
+    pytest.param(lambda: hungarian(np.array([[np.nan, 1.0], [1.0, 0.0]])),
+                 DomainError, "cost entries must be finite", id="hungarian-nan"),
+    pytest.param(lambda: gp(two_datasets(), SubspaceAssignment.singletons([2, 2]),
+                            BlockTransform([np.eye(2), np.eye(2)])),
+                 ShapeError, "gp operates on a single dataset", id="gp-two-datasets"),
+])
+def test_input_checks(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()

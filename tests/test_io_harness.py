@@ -195,9 +195,10 @@ class TestConfig:
             config_from_dict({"experiment": name})
 
     def test_bad_solver(self):
+        # T alone picks the solver (0 is plain MISA), so solver is no key
         d = self.base()
-        d["solver"] = "em"
-        with pytest.raises(ConfigError):
+        d["solver"] = "misa"
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): \['solver'\]"):
             config_from_dict(d)
 
     def test_bad_dispersion(self):
@@ -240,26 +241,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown sim key\(s\): \['seed'\]"):
             config_from_dict(d)
 
-    def test_dispersion_only_with_plain_solver(self):
-        # misa-gp would ignore the dispersion, so asking for one is an error
-        d = self.base()
-        d["dispersion"] = "invariant"
-        assert config_from_dict(d).dispersion.value == "invariant"
-        d["solver"] = "misa-gp"
-        with pytest.raises(ConfigError, match="dispersion"):
-            config_from_dict(d)
-        d["dispersion"] = "controlled"
-        assert config_from_dict(d).solver == "misa-gp"
-        with pytest.raises(ConfigError, match="dispersion"):
-            config_from_dict({"experiment": "isa1", "dispersion": "invariant"})
+    def test_dispersion_with_any_rounds(self):
+        # every solve of misa_gp_mdm descends with the configured dispersion
+        for T in (0, 2):
+            cfg = config_from_dict({**self.base(), "dispersion": "invariant", "T": T})
+            assert (cfg.dispersion, cfg.T) == (DispersionChoice.SCALE_INVARIANT, T)
+        cfg = config_from_dict({"experiment": "isa1", "dispersion": "invariant"})
+        assert (cfg.dispersion, cfg.T) == (DispersionChoice.SCALE_INVARIANT, 2)
+
+    @pytest.mark.parametrize("make", [lambda: preset("isa1"), lambda: preset("isa1").sim,
+                                      lambda: preset("isa1").optim],
+                             ids=["config", "sim", "optim"])
+    def test_unknown_attribute_rejected(self, make):
+        # a stale name cannot be set and quietly ignored
+        with pytest.raises(AttributeError):
+            make().solver = "misa"
 
 
 # every field of the six presets, spelled out: what each protocol sets, and
 # what all of them share
 SIM_SHARED = {"cond_target": 3.0, "snr_db": np.inf, "rho_max": 0.5,
               "family": "mvlaplace", "copula_draws": 50, "ar_rho": 0.85}
-CFG_SHARED = {"reduce": "none", "solver": "misa",
-              "dispersion": DispersionChoice.SCALE_CONTROLLED, "T": 2, "instances": 1,
+CFG_SHARED = {"reduce": "none",
+              "dispersion": DispersionChoice.SCALE_CONTROLLED, "T": 0, "instances": 1,
               "replicates": 10, "seed": 0, "out_dir": None, "threads": 1}
 OPTIM_SHARED = {"typical_x": 0.1, "max_fun_evals": 50000, "max_iters": 10000,
                 "lbfgs_memory": 10, "tol_fun": 1e-8, "tol_x": 1e-9}
@@ -270,11 +274,11 @@ PINNED = {
     "iva2": ({"subspace_dims": [[1, 1]] * 12, "dims_v": [20, 20], "n_obs": 10000,
               "snr_db": 15.0, "rho_max": 0.7, "family": "copula"}, {"reduce": "pre"}),
     "isa1": ({"subspace_dims": [[4]] * 4, "dims_v": [16], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
     "isa2": ({"subspace_dims": [[1], [2], [3], [4], [5]], "dims_v": [15], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
     "isa3": ({"subspace_dims": [[2, 1], [2, 1], [1, 3]], "dims_v": [5, 5], "n_obs": 8000},
-             {"solver": "misa-gp"}),
+             {"T": 2}),
 }
 
 
@@ -650,7 +654,7 @@ class TestCli:
     def test_records_replay_from_cli(self, tmp_path):
         # generate at a record's instance seed, then solve at its replicate
         # seed: the CLI reproduces the row exactly
-        cfg = write_smoke_cfg(tmp_path, solver="misa-gp", reduce="pre", instances=2,
+        cfg = write_smoke_cfg(tmp_path, T=2, reduce="pre", instances=2,
                               sim={"subspace_dims": [[2], [1], [1]], "dims_v": [6],
                                    "n_obs": 1000, "cond_target": 2.0, "rho_max": 0.6})
         run = tmp_path / "run"
@@ -743,6 +747,18 @@ class TestCli:
         cfg = write_smoke_cfg(tmp_path, experiment=name)
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"misa: error: unknown experiment preset {name!r}\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    def test_one_source_dataset_cond_target_exits_2(self, tmp_path, capsys, command):
+        # the second dataset holds one source, so the default cond_target
+        # 3.0 is out of reach; the config fails naming the field and dataset
+        cfg = write_smoke_cfg(tmp_path, sim={"subspace_dims": [[1, 0], [1, 0], [1, 1]],
+                                             "dims_v": [3, 2], "n_obs": 500})
+        out = tmp_path / "o"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.match(r"misa: error: cond_target must be 1 for dataset 1\b",
+                        capsys.readouterr().err)
+        assert not out.exists()
 
     def test_one_subspace_config_exits_2(self, tmp_path, capsys):
         # MISI is undefined for K = 1, so the config fails before any solve
@@ -987,3 +1003,22 @@ class TestCli:
             cli_main([verb, "--config", "c.json", "--experiment", "iva1"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tree, phrase", [
+    pytest.param({"sim": 3}, "sim must be an object", id="sim-not-object"),
+    pytest.param([{"experiment": "isa1"}], "config must be an object", id="config-list"),
+])
+def test_harness_input_checks(tree, phrase):
+    with pytest.raises(ConfigError, match=phrase):
+        config_from_dict(tree)
+
+
+@pytest.mark.parametrize("raw, phrase", [
+    pytest.param(b"MISA\x01\x00", "truncated header at byte 6", id="magic-plus-2-bytes"),
+])
+def test_io_input_checks(tmp_path, raw, phrase):
+    p = tmp_path / "m.misa"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError, match=phrase):
+        load_matrix(p)

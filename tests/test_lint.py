@@ -29,6 +29,10 @@ only tests read is deleted, with the code that fills it.
 Every ```json block in README.md is a config that ``config_from_dict``
 accepts, so the documented format cannot drift from the parser.
 
+README.md's Configuration section names every config key, a field of
+``ExperimentConfig``, ``SimSpec`` or ``OptimOptions``, backticked or as a
+quoted JSON key, so a new key cannot go undocumented.
+
 Every name a ```python block in README.md imports ``from misa`` is an
 attribute of ``misa``, so the documented API cannot name a removed export.
 
@@ -54,6 +58,7 @@ import pytest
 import misa
 from misa import harness
 from misa.harness import ExperimentConfig
+from misa.optimizer import OptimOptions
 from misa.simgen import SimSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -220,6 +225,13 @@ def test_readme_json_configs_load():
     assert blocks
     for block in blocks:
         harness.config_from_dict(json.loads(block))
+
+
+def test_readme_documents_every_config_key():
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Configuration\n(.*?)^## ", text, flags=re.M | re.S).group(1)
+    keys = [f.name for cls in (ExperimentConfig, SimSpec, OptimOptions) for f in fields(cls)]
+    assert [k for k in keys if f"`{k}`" not in section and f'"{k}"' not in section] == []
 
 
 def misa_imports(source: str) -> set:

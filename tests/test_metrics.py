@@ -6,6 +6,7 @@ import pytest
 from misa import (
     BlockTransform,
     DomainError,
+    ShapeError,
     SubspaceAssignment,
     hungarian,
     interference_matrix,
@@ -179,3 +180,17 @@ class TestHungarianConsistency:
         perm = hungarian(1.0 - np.abs(R))
         v = 2.0 - (2.0 / 6) * sum(abs(R[i, perm[i]]) for i in range(6))
         assert mmse(R) == pytest.approx(v, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, phrase", [
+    pytest.param(lambda: interference_matrix(BlockTransform([np.eye(2)]),
+                                             BlockTransform([np.eye(2), np.eye(2)]),
+                                             SubspaceAssignment.singletons([2, 2])),
+                 "block count mismatch", id="interference-blocks"),
+    pytest.param(lambda: misi_from_interference(np.ones((2, 3))), "H must be square",
+                 id="misi-nonsquare"),
+    pytest.param(lambda: mmse(np.ones((2, 3))), "R must be square", id="mmse-nonsquare"),
+])
+def test_input_checks(call, phrase):
+    with pytest.raises(ShapeError, match=phrase):
+        call()

@@ -343,3 +343,17 @@ class TestBlockTransform:
         Y = W.transform(data)
         assert Y.shape == (3, 4)
         np.testing.assert_allclose(Y[2], 2.0)
+
+
+@pytest.mark.parametrize("call, phrase", [
+    pytest.param(lambda: MultiDataset([np.ones(5)]), "each dataset must be a matrix",
+                 id="dataset-vector"),
+    pytest.param(lambda: SubspaceAssignment(np.ones(3), [3]), "P must be a matrix",
+                 id="assignment-vector"),
+    pytest.param(lambda: BlockTransform([]), "need at least one block", id="no-blocks"),
+    pytest.param(lambda: BlockTransform([np.ones(3)]), "each block must be a matrix",
+                 id="block-vector"),
+])
+def test_input_checks(call, phrase):
+    with pytest.raises(ShapeError, match=phrase):
+        call()

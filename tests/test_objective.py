@@ -542,3 +542,14 @@ class TestRelativeGradient:
         W = BlockTransform([np.eye(3)])
         out = relative_gradient(BlockTransform([np.zeros((3, 3))]), W)
         assert np.all(out.blocks[0] == 0)
+
+
+@pytest.mark.parametrize("call, phrase", [
+    pytest.param(lambda: ObjectiveContext(
+        MultiDataset([np.random.default_rng(0).standard_normal((2, 50))]),
+        SubspaceAssignment.singletons([1, 1])),
+        "assignment covers a different number of datasets", id="context-datasets"),
+])
+def test_input_checks(call, phrase):
+    with pytest.raises(ShapeError, match=phrase):
+        call()

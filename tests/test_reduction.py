@@ -6,6 +6,7 @@ from misa import (
     DomainError,
     MultiDataset,
     RankError,
+    ShapeError,
     SimSpec,
     build_instance,
     gpca_init,
@@ -196,3 +197,20 @@ class TestGpca:
         X = MultiDataset([low])
         with pytest.raises(RankError):
             gpca_init(X, 3)
+
+
+def one_dataset(V=2):
+    return MultiDataset([np.random.default_rng(0).standard_normal((V, 50))])
+
+
+@pytest.mark.parametrize("call, error, phrase", [
+    pytest.param(lambda: reduce_data(one_dataset(), [1, 1]), ShapeError,
+                 "need one target dimension per dataset", id="reduce-target-count"),
+    pytest.param(lambda: reduce_data(one_dataset(), [0]), DomainError,
+                 "target dimension must be >= 1", id="reduce-target-zero"),
+    pytest.param(lambda: gpca_init(one_dataset(), 3), RankError,
+                 "C exceeds total variable count", id="gpca-c-too-large"),
+])
+def test_input_checks(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()

@@ -10,6 +10,7 @@ from scipy.stats import laplace
 
 import misa
 from misa import (
+    DefinitenessError,
     DomainError,
     ShapeError,
     SimSpec,
@@ -294,6 +295,16 @@ class TestSimSpec:
             SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2],
                     n_obs=100, **{field: value})
 
+    def test_one_source_dataset_needs_cond_one(self):
+        # a V x 1 mixing has condition number 1 whatever its entries, so
+        # another target is rejected up front, naming the field and dataset
+        dims = np.array([[1, 0], [1, 0], [1, 1]])
+        with pytest.raises(DomainError, match=r"^cond_target must be 1 for dataset 1\b"):
+            SimSpec(subspace_dims=dims, dims_v=[3, 2], n_obs=500)
+        spec = SimSpec(subspace_dims=dims, dims_v=[3, 2], n_obs=500, cond_target=[3.0, 1.0])
+        _, truth, _ = build_instance(spec, 0)
+        np.testing.assert_allclose(truth.realized_conds, [3.0, 1.0], rtol=1e-8)
+
     def test_range_bounds_accepted(self):
         spec = SimSpec(subspace_dims=np.array([[1, 1], [1, 0]]), dims_v=[2, 2], n_obs=100,
                        rho_max=0.0, cond_target=[1.0, 1.0], snr_db=np.inf, ar_rho=0.0,
@@ -362,3 +373,34 @@ class TestBuildInstance:
         data, truth, P = build_instance(spec, 26)
         assert data.n_datasets == 2
         assert truth.Y.shape == (6, 3000)
+
+
+NOT_PD = [[1.0, 2.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, error, phrase", [
+    pytest.param(lambda: gen_mixing(2, 3, 2.0), DomainError, "need V >= C", id="mixing-V-below-C"),
+    pytest.param(lambda: gen_mixing(3, 1, 3.0), DomainError,
+                 "degenerate sample: cannot reach cond > 1", id="mixing-one-column"),
+    pytest.param(lambda: toeplitz_corr(0, 0.5), DomainError, "need d >= 1", id="toeplitz-d0"),
+    pytest.param(lambda: toeplitz_corr(2, 1.0), DomainError, r"rho_max must be in \[0, 1\)",
+                 id="toeplitz-rho1"),
+    pytest.param(lambda: sample_mvlaplace(2, np.eye(3), 10), ShapeError, "R must be d x d",
+                 id="mvlaplace-R-shape"),
+    pytest.param(lambda: sample_mvlaplace(2, NOT_PD, 10), DefinitenessError,
+                 "R is not positive definite", id="mvlaplace-R-not-pd"),
+    pytest.param(lambda: sample_copula_sources(2, 10, np.eye(3)), ShapeError,
+                 "R_joint must be C x C", id="copula-R-shape"),
+    pytest.param(lambda: sample_copula_sources(2, 10, NOT_PD), DefinitenessError,
+                 "R_joint is not positive definite", id="copula-R-not-pd"),
+    pytest.param(lambda: sample_copula_sources(2, 10, np.eye(2), ar_rho=1.0), DomainError,
+                 r"ar_rho must be in \[0, 1\)", id="copula-ar-rho1"),
+    pytest.param(lambda: sample_copula_sources(2, 10, np.eye(2), n_draws=0), DomainError,
+                 "need at least one draw", id="copula-no-draws"),
+    pytest.param(lambda: SimSpec(subspace_dims=np.array([[1, 0], [1, 0]]), dims_v=[2, 1],
+                                 n_obs=100),
+                 DomainError, "every dataset needs at least one source", id="spec-empty-dataset"),
+])
+def test_input_checks(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()

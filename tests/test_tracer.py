@@ -45,7 +45,7 @@ def test_traced_run_reads_results():
         "experiment": "custom",
         "sim": {"subspace_dims": [[1], [1], [1]], "dims_v": [5], "n_obs": 2000,
                 "cond_target": 2.0, "snr_db": 20.0},
-        "reduce": "pre", "solver": "misa-gp", "optim": {"tol_fun": 1e-8}})
+        "reduce": "pre", "T": 2, "optim": {"tol_fun": 1e-8}})
     t = tracer.Tracer()
     try:
         tracer.install(t)
