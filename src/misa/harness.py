@@ -256,32 +256,32 @@ def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
                      wall_time=time.perf_counter() - t0, status=status)
 
 
+def _run_instance(cfg: ExperimentConfig, i: int,
+                  seq: np.random.SeedSequence) -> List[RunRecord]:
+    """Build instance i from seq and run its replicates. The instance's
+    data lives only in this call, so it is freed before the next one is
+    built."""
+    inst_seed = int(seq.generate_state(1)[0])
+    data, truth, P = build_instance(cfg.sim, inst_seed)
+    work_data, B = reduce_instance(cfg, data, P)
+    rep_seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(cfg.replicates)]
+    run = partial(_run_replicate, cfg, work_data, data, P, truth, B, i, inst_seed)
+    # threads = 1 stays on the calling thread: on a one-thread pool the
+    # iva1 benchmark workload took +4% peak RSS and about twice the page
+    # faults
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+            return list(ex.map(run, range(cfg.replicates), rep_seeds))
+    return list(map(run, range(cfg.replicates), rep_seeds))
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Run the full grid; returns (records, summary) and persists them when
     cfg.out_dir is set, which is created before the first solve."""
     if cfg.out_dir:
         make_dir(cfg.out_dir)
-    root = np.random.SeedSequence(cfg.seed)
-    inst_seqs = root.spawn(cfg.instances)
-    records: List[RunRecord] = []
-    for i in range(cfg.instances):
-        inst_seed = int(inst_seqs[i].generate_state(1)[0])
-        data, truth, P = build_instance(cfg.sim, inst_seed)
-
-        work_data, B = reduce_instance(cfg, data, P)
-
-        rep_seqs = inst_seqs[i].spawn(cfg.replicates)
-        rep_seeds = [int(s.generate_state(1)[0]) for s in rep_seqs]
-        run = partial(_run_replicate, cfg, work_data, data, P, truth, B, i, inst_seed)
-        # threads = 1 stays on the calling thread: on a one-thread pool the
-        # iva1 benchmark workload took +4% peak RSS and about twice the page
-        # faults
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-                records.extend(ex.map(run, range(cfg.replicates), rep_seeds))
-        else:
-            records.extend(map(run, range(cfg.replicates), rep_seeds))
-
+    inst_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.instances)
+    records = [rec for i, seq in enumerate(inst_seqs) for rec in _run_instance(cfg, i, seq)]
     summary = summarize(cfg, records)
     if cfg.out_dir:
         write_results(cfg.out_dir, records, summary)

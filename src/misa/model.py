@@ -203,10 +203,17 @@ def kotz_log_pdf(y: np.ndarray, D: np.ndarray, params: KotzParams) -> float:
     return float(val)
 
 
+# observations per step of MultiDataset.r_factor: each step factors a
+# (V + R_CHUNK) x V stack, so the transient stays that size whatever N is
+R_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class MultiDataset:
     """M observation matrices X_m (V_m x N) sharing one axis of N observations;
-    every entry must be finite."""
+    every entry must be finite. The blocks are marked read-only in place (a
+    C-contiguous float array is taken without a copy), so the cached
+    r_factor cannot go stale."""
 
     blocks: tuple
 
@@ -225,6 +232,8 @@ class MultiDataset:
         for m, b in enumerate(mats):
             if not np.all(np.isfinite(b)):
                 raise DomainError(f"dataset {m} holds non-finite values (NaN or inf)")
+        for b in mats:
+            b.setflags(write=False)
         object.__setattr__(self, "blocks", mats)
 
     @property
@@ -238,6 +247,22 @@ class MultiDataset:
     @property
     def dims(self) -> list:
         return [b.shape[0] for b in self.blocks]
+
+    @functools.cached_property
+    def r_factor(self) -> np.ndarray:
+        """R of the thin QR X^T = Q R of the stacked data X (V x N), with V
+        the total data dimension: min(N, V) x V, computed on first use. R is
+        folded over chunks of R_CHUNK observations (TSQR: Demmel, Grigori,
+        Hoemmen & Langou, SIAM J. Sci. Comput. 2012), so no N-sized copy of
+        the data is made. A row of R may differ in sign from one full QR's,
+        which leaves R^T R = X X^T unchanged. Every reader gets the same
+        array, so it is read-only."""
+        R = np.empty((0, sum(self.dims)))
+        for a in range(0, self.n_obs, R_CHUNK):
+            chunk = np.hstack([X[:, a:a + R_CHUNK].T for X in self.blocks])
+            R = np.linalg.qr(np.vstack([R, chunk]), mode="r")
+        R.setflags(write=False)
+        return R
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Both dispersion modes are supported: scale-invariant (dispersion tied to the
 sample covariance, objective blind to per-source rescaling) and
 scale-controlled (dispersion tied to the sample correlation, model variances
-pinned at alpha_k). One ObjectiveContext per solve holds the problem, the R
-factor of the data and the N-sized scratch. All subspaces are evaluated
-together as one (K, d_max, N) stack, the smaller ones padded. The
+pinned at alpha_k). One ObjectiveContext per solve holds the problem and
+the N-sized scratch; the R factor comes from the data, which computes it
+once and shares it with every context built over it. All subspaces are
+evaluated together as one (K, d_max, N) stack, the smaller ones padded. The
 dispersions and the dispersion part of the gradient come from the R factor;
 the rest of the gradient is mapped from source space back to each dataset
 block. The per-subspace shares that the combinatorial steps score at
@@ -166,7 +167,8 @@ class ObjectiveContext:
 
     The problem is the data, the subspace structure, the dispersion choice
     and one KotzParams per subspace from the (beta, lambda, eta) triple psi.
-    The state is the R factor of the data and the N-sized scratch: with
+    The state is the N-sized scratch and the column blocks R_m of the
+    data's r_factor, which every context over the same data shares: with
     X = X_1..X_M stacked (V x N) and X^T = Q R, the sources
     Y = blockdiag(W) X are M Q^T with M = blockdiag(W) R^T, so
     Y Y^T = M M^T and Y X^T = M R need no N-sized product.
@@ -196,8 +198,7 @@ class ObjectiveContext:
         self.f_constant = float(sum(p.log_norm_const for p in self.kotz))
         off = np.asarray(assignment.col_offsets)
         N, (K, C) = data.n_obs, assignment.P.shape
-        # np.linalg.qr factors a copy of the stacked X^T and returns R alone
-        R = np.linalg.qr(np.vstack(data.blocks).T, mode="r")
+        R = data.r_factor
         v_off = np.cumsum([0] + [Xm.shape[0] for Xm in data.blocks])
         self.R_blocks = [np.ascontiguousarray(R[:, a:b])
                          for a, b in zip(v_off[:-1], v_off[1:])]

@@ -452,6 +452,31 @@ class TestDrivers:
         assert sol.n_iters == sum(s.n_iters for s in solves)
         assert sol.n_evals == sum(s.n_evals for s in solves)
 
+    def test_mdm_factors_each_dataset_once(self, monkeypatch):
+        # seven solves over three datasets: the joint data and each single one
+        spec = SimSpec(subspace_dims=np.array([[1, 1], [2, 2]]), dims_v=[3, 3],
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, truth, P = build_instance(spec, 5)
+        W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
+                             for _ in range(2)])
+        factored, solves = [], []
+        prop = MultiDataset.__dict__["r_factor"]
+        compute = prop.func
+
+        def counting(self):
+            factored.append(self)
+            return compute(self)
+
+        def recording(*args, **kw):
+            solves.append(run_misa(*args, **kw))
+            return solves[-1]
+
+        monkeypatch.setattr(prop, "func", counting)
+        monkeypatch.setattr(combinatorics, "run_misa", recording)
+        misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+        assert len(solves) == 7
+        assert len(factored) == 3 and factored[0] is data
+
     @staticmethod
     def scripted(monkeypatch, P_ud, values):
         """Replace run_misa by a stub that returns W0 unchanged after one

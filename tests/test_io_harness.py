@@ -5,7 +5,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields
+import weakref
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,22 @@ class TestRunExperiment:
         assert len(records) == 4
         assert summary["median_best_misi"] < 0.1
         assert summary["good"] is True
+
+    def test_one_instance_alive_at_a_time(self, monkeypatch):
+        # the loop variables of a flat loop keep instance i alive while
+        # instance i + 1 is built
+        built = []
+        build = harness.build_instance
+
+        def tracking(*args):
+            assert all(ref() is None for ref in built)
+            data, truth, P = build(*args)
+            built.append(weakref.ref(data))
+            return data, truth, P
+
+        monkeypatch.setattr(harness, "build_instance", tracking)
+        records, _ = run_experiment(replace(smoke_config(), instances=3, replicates=1))
+        assert len(built) == 3 and len(records) == 3
 
     @RERUN_CONFIGS
     def test_byte_identical_rerun(self, tmp_path, make_config):

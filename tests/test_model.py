@@ -1,4 +1,7 @@
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -264,6 +267,64 @@ class TestMultiDataset:
         X[1, 4] = bad
         with pytest.raises(DomainError, match="dataset 1"):
             MultiDataset([np.ones((3, 10)), X])
+
+    def test_blocks_read_only(self):
+        # r_factor is cached, so a write into the data must not go unseen
+        data = MultiDataset([np.ones((3, 10)), np.ones((2, 10))])
+        with pytest.raises(ValueError, match="read-only"):
+            data.blocks[0][0, 0] = 1.0
+
+
+class TestRFactor:
+    @pytest.mark.parametrize("N", [500, 2 * model.R_CHUNK, 2 * model.R_CHUNK + 300],
+                             ids=["one-chunk", "whole-chunks", "remainder"])
+    def test_matches_full_qr(self, N):
+        rng = np.random.default_rng(N)
+        data = MultiDataset([rng.standard_normal((3, N)), 5.0 * rng.standard_normal((4, N))])
+        X = np.vstack(data.blocks)
+        R = data.r_factor
+        assert R.shape == (7, 7)
+        XXt = X @ X.T
+        assert np.max(np.abs(R.T @ R - XXt)) <= 1e-12 * np.max(np.abs(XXt))
+        # rows may differ in sign from the one full factorization
+        R_full = np.abs(np.linalg.qr(X.T, mode="r"))
+        assert np.max(np.abs(np.abs(R) - R_full)) <= 1e-12 * np.max(R_full)
+
+    def test_computed_once(self):
+        data = MultiDataset([np.random.default_rng(0).standard_normal((3, 50))])
+        assert data.r_factor is data.r_factor
+        with pytest.raises(ValueError, match="read-only"):
+            data.r_factor[0, 0] = 1.0
+
+    def test_shared_across_threads(self):
+        # replicates on a pool read one instance's R concurrently; every
+        # thread must see the one serial result
+        rng = np.random.default_rng(2)
+        blocks = [rng.standard_normal((4, 3000)) for _ in range(2)]
+        expected = MultiDataset([b.copy() for b in blocks]).r_factor
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                data = MultiDataset([b.copy() for b in blocks])
+                with ThreadPoolExecutor(max_workers=8) as ex:
+                    futures = [ex.submit(lambda: data.r_factor) for _ in range(8)]
+                    seen = [f.result(timeout=30) for f in futures]
+                assert all(np.array_equal(R, expected) for R in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_copy_of_the_data(self):
+        # one full QR traces a stacked copy and an astype copy, each as
+        # large as the data; the chunks hold (V + R_CHUNK) x V at a time
+        data = MultiDataset([np.random.default_rng(1).standard_normal((40, 20000))])
+        tracemalloc.start()
+        try:
+            data.r_factor
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.blocks[0].nbytes / 4
 
 
 class TestSubspaceAssignment:
