@@ -81,58 +81,6 @@ class DispersionChoice(Enum):
     SCALE_CONTROLLED = "controlled"
 
 
-# cephes lgam coefficients: the Stirling correction for 13 <= x < 1000, and
-# the rational approximation B/C of log Gamma on [2, 3)
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
-           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-
-
-def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
-    """Horner value at x of the polynomial with coefficients coef, highest
-    power first, after a leading 1 if monic (cephes polevl and p1evl)."""
-    a = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        a = a * x + c
-    return a
-
-
-def _gammaln(x: float) -> float:
-    """log Gamma(x) for x > 0: a step-for-step port of cephes lgam, the
-    routine behind scipy.special.gammaln, and bit-equal to it, so that a
-    solve process need not import scipy.special (about 24 MB)."""
-    if x < 13.0:
-        # shift u = x + p into [2, 3), carrying the product z of the shifts
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C, monic=True)
-    if x > 2.556348e305:  # cephes MAXLGM: the result overflows
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
 @dataclass(frozen=True)
 class KotzParams:
     """Kotz family parameters for one subspace of dimension d.
@@ -140,7 +88,9 @@ class KotzParams:
     beta controls the shape, lamb the kurtosis, eta the hole size. They are
     range-checked on construction (NaN fails every check), and nu, alpha and
     log_norm_const (the log of the density normalizer, everything except the
-    D and q terms) are derived from them once.
+    D and q terms) are derived from them once. A triple in range whose alpha
+    is not finite and positive, or whose log_norm_const is not finite (beta
+    = 1e-300, say), raises DomainError too.
     """
 
     beta: float
@@ -160,13 +110,20 @@ class KotzParams:
         beta, lamb, eta, d = float(self.beta), float(self.lamb), float(self.eta), int(self.d)
         nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
         # alpha = Gamma(nu + 1/beta) / (lambda^{1/beta} d Gamma(nu)), in log space;
-        # _gammaln is scipy's gammaln to the bit (test_gammaln_bitwise_equal_to_scipy)
-        log_alpha = _gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - _gammaln(nu)
-        log_norm_const = (np.log(beta) + nu * np.log(lamb) + _gammaln(d / 2.0)
-                          - (d / 2.0) * np.log(np.pi) - _gammaln(nu))
+        # lgamma and exp raise OverflowError past the float range, and lgamma
+        # ValueError at its pole nu = 0, where 2 beta overflows
+        try:
+            alpha = math.exp(math.lgamma(nu + 1.0 / beta) - math.log(lamb) / beta
+                             - math.log(d) - math.lgamma(nu))
+            log_norm_const = (math.log(beta) + nu * math.log(lamb) + math.lgamma(d / 2.0)
+                              - (d / 2.0) * math.log(math.pi) - math.lgamma(nu))
+        except (OverflowError, ValueError):
+            alpha = log_norm_const = math.nan
+        if not (0.0 < alpha < math.inf and math.isfinite(log_norm_const)):
+            raise DomainError(f"(beta, lamb, eta) = ({beta}, {lamb}, {eta}) at d = {d} derives "
+                              "alpha or log_norm_const outside the float range")
         for name, v in (("beta", beta), ("lamb", lamb), ("eta", eta), ("d", d), ("nu", nu),
-                        ("alpha", float(np.exp(log_alpha))),
-                        ("log_norm_const", float(log_norm_const))):
+                        ("alpha", alpha), ("log_norm_const", log_norm_const)):
             object.__setattr__(self, name, v)
 
 

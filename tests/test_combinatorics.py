@@ -477,6 +477,25 @@ class TestDrivers:
         assert len(solves) == 7
         assert len(factored) == 3 and factored[0] is data
 
+    def test_mdm_t0_factors_joint_data_once(self, monkeypatch):
+        # T = 0 is one solve on the joint data, so no single dataset is factored
+        spec = SimSpec(subspace_dims=np.array([[1, 1, 1], [2, 2, 2]]), dims_v=[3, 3, 3],
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, _, P = build_instance(spec, 5)
+        W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(2))
+                             for _ in range(3)])
+        factored = []
+        prop = MultiDataset.__dict__["r_factor"]
+        compute = prop.func
+
+        def counting(self):
+            factored.append(self)
+            return compute(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+        misa_gp_mdm(data, P, W0, T=0, opts=OPTS)
+        assert len(factored) == 1 and factored[0] is data
+
     @staticmethod
     def scripted(monkeypatch, P_ud, values):
         """Replace run_misa by a stub that returns W0 unchanged after one

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 import warnings
@@ -22,6 +23,17 @@ from misa import (
     kotz_log_pdf,
     model,
 )
+
+
+def reference_constants(beta, lamb, eta, d, lgamma, log):
+    """nu, log alpha and log_norm_const by the formulas of the former
+    derive_kotz function and log_norm_const property, through the given
+    log Gamma and log."""
+    nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
+    log_alpha = lgamma(nu + 1.0 / beta) - log(lamb) / beta - log(d) - lgamma(nu)
+    log_norm_const = (log(beta) + nu * log(lamb) + lgamma(d / 2.0)
+                      - (d / 2.0) * log(math.pi) - lgamma(nu))
+    return nu, log_alpha, log_norm_const
 
 
 class TestDeriveKotz:
@@ -68,18 +80,9 @@ class TestDeriveKotz:
                              + [(PSI_LAPLACE, d) for d in range(1, 7)]
                              + [((1.3, 0.7, 1.5), d) for d in range(1, 7)])
     def test_derived_values_match_reference(self, psi, d):
-        # the formulas as they stood in the former derive_kotz function and
-        # log_norm_const property, kept here as the reference
-        from scipy.special import gammaln
-
-        beta, lamb, eta = psi
-        nu = float((2.0 * eta + d - 2.0) / (2.0 * beta))
-        log_alpha = gammaln(nu + 1.0 / beta) - np.log(lamb) / beta - np.log(d) - gammaln(nu)
-        log_norm_const = (np.log(beta) + nu * np.log(lamb) + gammaln(d / 2.0)
-                          - (d / 2.0) * np.log(np.pi) - gammaln(nu))
+        nu, log_alpha, log_norm_const = reference_constants(*psi, d, math.lgamma, math.log)
         p = KotzParams(*psi, d)
-        assert (p.nu, p.alpha, p.log_norm_const) == (
-            nu, float(np.exp(log_alpha)), log_norm_const)
+        assert (p.nu, p.alpha, p.log_norm_const) == (nu, math.exp(log_alpha), log_norm_const)
 
     def test_kotz_from_psi_shares_one_instance(self):
         # one frozen KotzParams per triple and d; a list triple finds it too
@@ -101,26 +104,36 @@ class TestDeriveKotz:
 
 
 class TestKotzParams:
-    def test_gammaln_bitwise_equal_to_scipy(self):
-        # KotzParams takes its log-Gamma terms from the cephes port, so that
-        # a solve loads no scipy module; it must be scipy's gammaln exactly
+    def test_closed_forms(self):
+        for d in range(1, 41):
+            assert kotz_from_psi(PSI_LAPLACE, d).alpha == pytest.approx(d + 1.0, rel=1e-13)
+            gauss = kotz_from_psi(PSI_GAUSS, d)
+            assert gauss.alpha == pytest.approx(1.0, rel=1e-13)
+            assert gauss.log_norm_const == pytest.approx(-(d / 2.0) * math.log(2.0 * math.pi),
+                                                         rel=1e-13)
+
+    def test_agrees_with_scipy_gammaln(self):
         from scipy.special import gammaln
 
-        args = []
-        for beta, lamb, eta in (PSI_GAUSS, PSI_LAPLACE, (1.3, 0.7, 1.5)):
+        for psi in (PSI_GAUSS, PSI_LAPLACE, (1.3, 0.7, 1.5)):
             for d in range(1, 41):
-                nu = (2.0 * eta + d - 2.0) / (2.0 * beta)
-                args += [nu, nu + 1.0 / beta, d / 2.0]
-        # the branch edges of lgam, the extremes of the positive floats, and
-        # the float above cephes MAXLGM, whose result is inf though Stirling's
-        # sum would still be finite there
-        args += [2.0, 3.0, 13.0, np.nextafter(13.0, 0.0), 1000.0, np.nextafter(1000.0, 0.0),
-                 1e8, 1.5e8, 5e-324, 1e300, np.nextafter(2.556348e305, np.inf)]
-        rng = np.random.default_rng(0)
-        args += [*rng.uniform(0.0, 2.0, 20000), *np.exp(rng.uniform(-30.0, 30.0, 20000))]
-        mismatched = [x for x in map(float, args)
-                      if model._gammaln(x) != float(gammaln(x))]
-        assert mismatched == []
+                _, log_alpha, log_norm_const = reference_constants(*psi, d, gammaln, np.log)
+                p = KotzParams(*psi, d)
+                assert p.alpha == pytest.approx(np.exp(log_alpha), rel=1e-13)
+                assert p.log_norm_const == pytest.approx(log_norm_const, rel=1e-13)
+
+    # in range, but alpha overflows, log Gamma(nu) overflows, 2 beta
+    # overflows to give nu = 0, the pole of log Gamma, or alpha underflows to 0
+    @pytest.mark.parametrize("psi", [(1e-300, 1.0, 1.0), (0.5, 1e-300, 1.0), (1e-306, 1.0, 1.0),
+                                     (1e308, 1.0, 1.0), (0.5, 1e300, 1.0)])
+    def test_non_finite_constants_rejected(self, psi):
+        with pytest.raises(DomainError, match=r"^\(beta, lamb, eta\) = \(.*\) at d = 1 derives"):
+            KotzParams(*psi, 1)
+
+    @pytest.mark.parametrize("psi", [(0.5, 1.0, 1e300), (1e300, 1.0, 1.0)])
+    def test_extreme_triples_with_finite_constants_build(self, psi):
+        p = KotzParams(*psi, 1)
+        assert 0.0 < p.alpha < math.inf and math.isfinite(p.log_norm_const)
 
 
 class TestKotzLogPdf:
