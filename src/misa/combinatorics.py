@@ -274,12 +274,10 @@ def misa_gp_mdm(data: MultiDataset, P_ud: SubspaceAssignment,
         solves.append(run_misa(data_, P_, W_, dispersion=dispersion, opts=opts_))
         return solves[-1]
 
-    # built once, so each dataset is factored once and not once per round
-    singles = [MultiDataset([X_m]) for X_m in data.blocks]
     best = prev = solve(data, P_ud, W0, start_opts)
     for t in range(1, T + 1):
         blocks = []
-        for m, data_m in enumerate(singles):
+        for m, data_m in enumerate(data.datasets):
             C_m = P_ud.col_dims[m]
             P_sdu = SubspaceAssignment.singletons([C_m])
             sol_m = solve(data_m, P_sdu, BlockTransform([prev.W_final.blocks[m]]),

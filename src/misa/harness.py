@@ -199,8 +199,9 @@ def score_estimate(W_total: BlockTransform, A: BlockTransform,
 def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
                     P: SubspaceAssignment):
     """Apply cfg.reduce; returns (work_data, B) with work_data_m = B_m X_m,
-    or (data, None) without reduction, which needs V_m = C_m: noiseless X_m
-    has rank C_m, so with more channels the objective is unbounded below."""
+    or (data, identity B) without reduction, which needs V_m = C_m:
+    noiseless X_m has rank C_m, so with more channels the objective is
+    unbounded below."""
     if cfg.reduce == "pre":
         red = reduction.reduce_data(data, P.col_dims)
         return red.reduced, red.B_star
@@ -216,12 +217,11 @@ def reduce_instance(cfg: ExperimentConfig, data: MultiDataset,
         if V != C:
             raise ConfigError(f"reduce 'none' needs V_m = C_m, but dataset {m} has "
                               f"V={V}, C={C}; use reduce 'pre'")
-    return data, None
+    return data, BlockTransform([np.eye(V) for V in data.dims])
 
 
 def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
-                   P: SubspaceAssignment, B: Optional[BlockTransform],
-                   seed: int):
+                   P: SubspaceAssignment, B: BlockTransform, seed: int):
     """Run misa_gp_mdm for cfg.T rounds (0: one plain descent) from a random
     row-orthonormal W0 drawn from seed; returns (sol, W_total) with
     W_total = W B mapping the unreduced data."""
@@ -230,14 +230,12 @@ def solve_instance(cfg: ExperimentConfig, work_data: MultiDataset,
                          for m, Vm in enumerate(work_data.dims)])
     sol = comb.misa_gp_mdm(work_data, P, W0, T=cfg.T, dispersion=cfg.dispersion,
                            opts=cfg.optim)
-    if B is None:
-        return sol, sol.W_final
     return sol, BlockTransform([Wm @ Bm for Wm, Bm in zip(sol.W_final.blocks, B.blocks)])
 
 
 def _run_replicate(cfg: ExperimentConfig, work_data: MultiDataset,
                    data: MultiDataset, P: SubspaceAssignment, truth,
-                   B: Optional[BlockTransform], i: int, inst_seed: int,
+                   B: BlockTransform, i: int, inst_seed: int,
                    r: int, rep_seed: int) -> RunRecord:
     t0 = time.perf_counter()
     misi = mmse = objective = float("nan")

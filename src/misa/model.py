@@ -221,6 +221,14 @@ class MultiDataset:
         R.setflags(write=False)
         return R
 
+    @functools.cached_property
+    def datasets(self) -> tuple:
+        """Each dataset as a one-dataset MultiDataset, built on first use, so
+        each is factored once however many solves read it. A view holds its
+        block, never its parent: at M = 1 a cached (self,) would be a
+        reference cycle that keeps the data alive past its last use."""
+        return tuple(MultiDataset([X]) for X in self.blocks)
+
 
 @dataclass(frozen=True)
 class SubspaceAssignment:

@@ -244,7 +244,8 @@ def evaluate(ctx: ObjectiveContext, W: BlockTransform) -> ObjectiveReport:
     if shapes != ctx.shapes:
         raise ShapeError(f"W has block shapes {shapes}, the problem needs {ctx.shapes}")
     token = ctx.latest = object()
-    if len(set(ctx.shapes)) == 1:
+    # one batched SVD over several equal blocks; a lone block is cheaper unstacked
+    if len(ctx.shapes) > 1 and len(set(ctx.shapes)) == 1:
         jd, pinv_t = svd_terms(np.stack(W.blocks))
     else:
         jd, pinv_t = zip(*map(svd_terms, W.blocks))

@@ -39,16 +39,6 @@ def fixed_w_cost(data, P, W):
     return value_from_sources(W.transform(data), P)
 
 
-def brute_force_assignment(cost):
-    n = cost.shape[0]
-    best, best_perm = np.inf, None
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i, perm[i]] for i in range(n))
-        if total < best - 1e-12:
-            best, best_perm = total, perm
-    return best, best_perm
-
-
 class TestHungarian:
     def test_identity_complement(self):
         cost = 1.0 - np.eye(4)
@@ -66,16 +56,6 @@ class TestHungarian:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             hungarian(np.zeros((2, 3)))
-
-    def test_matches_exhaustive_1000_random(self):
-        rng = np.random.default_rng(0)
-        for trial in range(1000):
-            n = 2 + trial % 6  # K in 2..7
-            cost = rng.integers(-20, 20, size=(n, n)).astype(float)
-            perm = hungarian(cost)
-            total = sum(cost[i, perm[i]] for i in range(n))
-            best, _ = brute_force_assignment(cost)
-            assert total == pytest.approx(best)
 
     @pytest.mark.parametrize("kind", ["float", "small-int", "constant"])
     def test_equals_scipy(self, kind):
@@ -495,6 +475,31 @@ class TestDrivers:
         monkeypatch.setattr(prop, "func", counting)
         misa_gp_mdm(data, P, W0, T=0, opts=OPTS)
         assert len(factored) == 1 and factored[0] is data
+
+    @pytest.mark.parametrize("subspace_dims, dims_v", [
+        pytest.param([[1, 1], [2, 2]], [3, 3], id="two-datasets"),
+        pytest.param([[1], [2]], [3], id="one-dataset"),
+    ])
+    def test_mdm_calls_share_the_factors(self, monkeypatch, subspace_dims, dims_v):
+        # replicates share an instance's data, so a second driver call
+        # factors nothing: the joint data and each dataset once in all
+        spec = SimSpec(subspace_dims=np.array(subspace_dims), dims_v=dims_v,
+                       n_obs=2000, cond_target=2.0, rho_max=0.6)
+        data, _, P = build_instance(spec, 5)
+        factored = []
+        prop = MultiDataset.__dict__["r_factor"]
+        compute = prop.func
+
+        def counting(self):
+            factored.append(self)
+            return compute(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+        for seed in (2, 3):
+            W0 = BlockTransform([random_row_orthonormal(3, 3, np.random.default_rng(seed))
+                                 for _ in dims_v])
+            misa_gp_mdm(data, P, W0, T=2, opts=OPTS)
+        assert all(f is g for f, g in zip(factored, (data, *data.datasets), strict=True))
 
     @staticmethod
     def scripted(monkeypatch, P_ud, values):

@@ -120,28 +120,19 @@ class TestConfig:
         assert cfg.experiment == "custom"
         assert cfg.sim.n_obs == 100
 
-    def test_unknown_top_key_named(self):
+    @pytest.mark.parametrize("section, key, value, match", [
+        pytest.param(None, "solvr", "misa", "solvr", id="top"),
+        pytest.param(None, "precision_b", 80, "precision_b", id="removed-precision_b"),
+        pytest.param("sim", "n_observations", 5, "n_observations", id="sim"),
+        pytest.param("optim", "tol_funn", 1e-6, "tol_funn", id="optim"),
+        # T alone picks the solver (0 is plain MISA), so solver is no key
+        pytest.param(None, "solver", "misa", r"unknown config key\(s\): \['solver'\]",
+                     id="solver"),
+    ])
+    def test_unknown_key_named(self, section, key, value, match):
         d = self.base()
-        d["solvr"] = "misa"
-        with pytest.raises(ConfigError, match="solvr"):
-            config_from_dict(d)
-
-    def test_removed_precision_b_key_named(self):
-        d = self.base()
-        d["precision_b"] = 80
-        with pytest.raises(ConfigError, match="precision_b"):
-            config_from_dict(d)
-
-    def test_unknown_sim_key_named(self):
-        d = self.base()
-        d["sim"]["n_observations"] = 5
-        with pytest.raises(ConfigError, match="n_observations"):
-            config_from_dict(d)
-
-    def test_unknown_optim_key_named(self):
-        d = self.base()
-        d["optim"] = {"tol_funn": 1e-6}
-        with pytest.raises(ConfigError, match="tol_funn"):
+        (d if section is None else d.setdefault(section, {}))[key] = value
+        with pytest.raises(ConfigError, match=match):
             config_from_dict(d)
 
     def test_snr_inf_string(self):
@@ -194,13 +185,6 @@ class TestConfig:
         # an unhashable name must not escape as a TypeError
         with pytest.raises(ConfigError, match="unknown experiment preset"):
             config_from_dict({"experiment": name})
-
-    def test_bad_solver(self):
-        # T alone picks the solver (0 is plain MISA), so solver is no key
-        d = self.base()
-        d["solver"] = "misa"
-        with pytest.raises(ConfigError, match=r"unknown config key\(s\): \['solver'\]"):
-            config_from_dict(d)
 
     def test_bad_dispersion(self):
         d = self.base()
@@ -507,9 +491,15 @@ class TestRunExperiment:
             harness.reduce_instance(cfg, data, P)
 
     def test_reduce_none_accepts_square_blocks(self):
+        # no reduction is the identity B, so W B is W bit for bit
         cfg = smoke_config()
         data, _, P = harness.build_instance(cfg.sim, 0)
-        assert harness.reduce_instance(cfg, data, P) == (data, None)
+        work, B = harness.reduce_instance(cfg, data, P)
+        assert work is data
+        assert all(np.array_equal(Bm, np.eye(V)) for Bm, V in zip(B.blocks, data.dims))
+        sol, W_total = harness.solve_instance(cfg, work, P, B, 0)
+        for Wm, Fm in zip(W_total.blocks, sol.W_final.blocks, strict=True):
+            assert Wm.tobytes() == Fm.tobytes()
 
     def test_gpca_isa_converges(self):
         # an isa3-shaped run: on the whitened pooled projection's own rows,

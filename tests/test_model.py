@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,14 +51,6 @@ class TestDeriveKotz:
     def test_gauss_d2_nu(self):
         p = KotzParams(1.0, 0.5, 1.0, 2)
         assert p.nu == pytest.approx(1.0)
-
-    def test_gauss_alpha_is_one_any_d(self):
-        for d in range(1, 6):
-            assert kotz_from_psi(PSI_GAUSS, d).alpha == pytest.approx(1.0)
-
-    def test_laplace_alpha_is_d_plus_one(self):
-        for d in range(1, 6):
-            assert kotz_from_psi(PSI_LAPLACE, d).alpha == pytest.approx(d + 1.0)
 
     @pytest.mark.parametrize("bad", [
         dict(beta=0.0, lamb=1.0, eta=1.0, d=1, field="beta"),
@@ -338,6 +332,46 @@ class TestRFactor:
         finally:
             tracemalloc.stop()
         assert peak < data.blocks[0].nbytes / 4
+
+
+class TestDatasets:
+    def test_views_hold_the_blocks(self):
+        data = MultiDataset([np.ones((3, 10)), np.ones((2, 10))])
+        views = data.datasets
+        assert views is data.datasets
+        assert [len(v.blocks) for v in views] == [1, 1]
+        assert all(v.blocks[0] is X for v, X in zip(views, data.blocks))
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_freed_without_gc(self, M):
+        # an instance's data must go at its last reference, not at the next
+        # collection: a view that held its parent would make a cycle
+        rng = np.random.default_rng(M)
+        data = MultiDataset([rng.standard_normal((2, 10)) for _ in range(M)])
+        gc.disable()
+        try:
+            data.datasets
+            ref = weakref.ref(data)
+            del data
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_shared_across_threads(self):
+        # replicates on a pool read one instance's views concurrently, and
+        # each view caches its own factor, so every thread must get one tuple
+        blocks = [np.random.default_rng(3).standard_normal((4, 300)) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                data = MultiDataset(blocks)
+                with ThreadPoolExecutor(max_workers=8) as ex:
+                    futures = [ex.submit(lambda: data.datasets) for _ in range(8)]
+                    seen = [f.result(timeout=30) for f in futures]
+                assert all(views is seen[0] for views in seen)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSubspaceAssignment:
